@@ -50,6 +50,7 @@ use kite_xen::{
     PageId, Port, ReqId, ReqStage, Result, SlotClass, XenError, XenbusState, PAGE_SIZE,
 };
 
+use crate::lifecycle::{BackendDevice, BackendStats};
 use crate::netback::DEFAULT_MAX_QUEUES;
 use crate::stats::CopyStats;
 
@@ -113,19 +114,6 @@ impl BlkbackStats {
         self.copy.bytes_per_hypercall()
     }
 
-    /// Folds another instance's counters into this one — used by the
-    /// system layer to keep lifetime stats across backend restarts.
-    pub fn merge(&mut self, other: &BlkbackStats) {
-        self.requests += other.requests;
-        self.device_ops += other.device_ops;
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.persistent_hits += other.persistent_hits;
-        self.grant_maps += other.grant_maps;
-        self.errors += other.errors;
-        self.copy.merge(&other.copy);
-    }
-
     /// Appends the request counters and copy accounting to a snapshot.
     pub fn append_metrics(&self, snap: &mut kite_trace::MetricsSnapshot) {
         snap.push_int("requests", "count", self.requests);
@@ -136,6 +124,19 @@ impl BlkbackStats {
         snap.push_int("grant_maps", "count", self.grant_maps);
         snap.push_int("errors", "count", self.errors);
         self.copy.append_metrics(snap, "copy_");
+    }
+}
+
+impl BackendStats for BlkbackStats {
+    fn merge(&mut self, other: &BlkbackStats) {
+        self.requests += other.requests;
+        self.device_ops += other.device_ops;
+        self.read_bytes += other.read_bytes;
+        self.write_bytes += other.write_bytes;
+        self.persistent_hits += other.persistent_hits;
+        self.grant_maps += other.grant_maps;
+        self.errors += other.errors;
+        self.copy.merge(&other.copy);
     }
 }
 
@@ -401,21 +402,6 @@ impl BlkbackInstance {
         })
     }
 
-    /// Instance statistics.
-    pub fn stats(&self) -> BlkbackStats {
-        self.stats
-    }
-
-    /// Number of negotiated rings.
-    pub fn ring_count(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Ring `q`'s backend-local event-channel port.
-    pub fn port_of(&self, q: usize) -> Port {
-        self.rings[q].evtchn
-    }
-
     /// The NVMe queue pair ring `q` submits through, once its first
     /// drain has created it.
     pub fn qid_of(&self, q: usize) -> Option<QueueId> {
@@ -444,24 +430,9 @@ impl BlkbackInstance {
         qid
     }
 
-    /// True if `port` belongs to any of this instance's rings.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.rings.iter().any(|r| r.evtchn == port)
-    }
-
     /// How grant copies are issued (batched vs. one hypercall per op).
     pub fn copy_mode(&self) -> CopyMode {
         self.copy_mode
-    }
-
-    /// Switches between batched and single-op grant copies (ablation).
-    pub fn set_copy_mode(&mut self, mode: CopyMode) {
-        self.copy_mode = mode;
-    }
-
-    /// Wedges (or unwedges) one ring's request thread (fault injection).
-    pub fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
-        self.rings[q].wedged = wedged;
     }
 
     /// Whether the grant-copy data path is active (copies are only used
@@ -476,11 +447,6 @@ impl BlkbackInstance {
             self.rings[q].bounce.push(page);
         }
         Ok(())
-    }
-
-    /// The event handler's cost (ack + wake the request thread).
-    pub fn irq_handler_cost(&self) -> Nanos {
-        self.profile.irq_overhead
     }
 
     /// The trace label for ring-drain events (`None` keeps single-ring
@@ -1071,33 +1037,6 @@ impl BlkbackInstance {
         self.in_flight.len()
     }
 
-    /// Ring-progress sample for health monitoring, aggregated across
-    /// rings: `(consumed, pending)`.
-    pub fn progress(&self, hv: &Hypervisor) -> (u64, u64) {
-        self.queue_progress(hv)
-            .into_iter()
-            .fold((0, 0), |(c, p), (qc, qp)| (c + qc, p + qp))
-    }
-
-    /// Per-ring progress watermarks: `(consumed, pending)` for each ring.
-    ///
-    /// `consumed` is the ring's lifetime consumer watermark — it only
-    /// advances when that ring's request thread runs, so successive
-    /// samples distinguish one livelocked ring from its idle or busy
-    /// siblings. `pending` counts submitted requests not yet consumed.
-    pub fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
-        self.rings
-            .iter()
-            .map(|rq| {
-                let pending = match hv.mem.page(rq.ring_page) {
-                    Ok(page) => rq.ring.unconsumed_requests(page) as u64,
-                    Err(_) => 0,
-                };
-                (rq.ring.req_cons() as u64, pending)
-            })
-            .collect()
-    }
-
     /// Quiesces the instance ahead of teardown: announces `Closing` so the
     /// frontend stops submitting. Mappings stay live until
     /// [`BlkbackInstance::close`] so in-flight completions can finish.
@@ -1145,10 +1084,9 @@ pub struct BlkbackConfig {
     pub device_sectors: u64,
 }
 
-impl crate::lifecycle::BackendDevice for BlkbackInstance {
+impl BackendDevice for BlkbackInstance {
     type Config = BlkbackConfig;
-    type RunCtx = NvmeController;
-    type RunOutput = BlkBatch;
+    type Stats = BlkbackStats;
     const KIND: kite_xen::DeviceKind = kite_xen::DeviceKind::Vbd;
 
     fn connect(hv: &mut Hypervisor, paths: &DevicePaths, cfg: &BlkbackConfig) -> Result<Self> {
@@ -1165,29 +1103,50 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
         DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vbd, self.index)
     }
 
-    fn run(
-        &mut self,
-        hv: &mut Hypervisor,
-        device: &mut NvmeController,
-        now: Nanos,
-        budget: usize,
-    ) -> Result<BlkBatch> {
-        let mut out = BlkBatch::default();
-        for q in 0..self.rings.len() {
-            let b = self.request_thread_run(hv, device, q, now, budget)?;
-            out.failures.extend(b.failures);
-            out.cq_irqs.extend(b.cq_irqs);
-            out.cost += b.cost;
-            out.more |= b.more;
-        }
-        Ok(out)
-    }
-
     fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
         BlkbackInstance::suspend(self, hv)
     }
 
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         BlkbackInstance::close(self, hv)
+    }
+
+    fn stats(&self) -> BlkbackStats {
+        self.stats
+    }
+
+    fn queue_count(&self) -> usize {
+        self.rings.len()
+    }
+
+    fn port_of(&self, q: usize) -> Port {
+        self.rings[q].evtchn
+    }
+
+    fn set_copy_mode(&mut self, mode: CopyMode) {
+        self.copy_mode = mode;
+    }
+
+    fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
+        self.rings[q].wedged = wedged;
+    }
+
+    /// Ack the port and wake the ring's request thread.
+    fn irq_handler_cost(&self) -> Nanos {
+        self.profile.irq_overhead
+    }
+
+    /// `pending` counts submitted requests not yet consumed.
+    fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
+        self.rings
+            .iter()
+            .map(|rq| {
+                let pending = match hv.mem.page(rq.ring_page) {
+                    Ok(page) => rq.ring.unconsumed_requests(page) as u64,
+                    Err(_) => 0,
+                };
+                (rq.ring.req_cons() as u64, pending)
+            })
+            .collect()
     }
 }

@@ -36,7 +36,7 @@ pub use blkback::{
 pub use blockapp::{BlockApp, VbdStatus};
 pub use config::{DomainConfig, DriverDomainKind};
 pub use dhcpd::{DhcpConfig, DhcpServer, DhcpStats, Lease};
-pub use lifecycle::{BackendDevice, DeviceLifecycle, RecoveryStats};
+pub use lifecycle::{BackendDevice, BackendStats, DeviceLifecycle, RecoveryStats};
 pub use netapp::NetworkApp;
 pub use netback::{NetbackInstance, NetbackStats, RxBatch, TxBatch};
 pub use stats::CopyStats;

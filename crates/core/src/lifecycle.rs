@@ -5,8 +5,10 @@
 //! scenarios, the tests) re-implemented the same state walk by hand. This
 //! module gives every backend driver one shape:
 //!
-//! * [`BackendDevice`] — the hooks a driver implements: `connect`, `run`,
-//!   `suspend`, `close`, and a provided `reconnect`;
+//! * [`BackendDevice`] — the hooks a driver implements: `connect`,
+//!   `suspend` and `close`, plus the per-queue accessors a driver-domain
+//!   harness drives every backend through (ports, wedging, IRQ cost,
+//!   ring progress, lifetime stats);
 //! * [`DeviceLifecycle`] — the state driver that owns one device slot and
 //!   performs the legal transitions (connect when the frontend published,
 //!   orderly close, crash abandonment, reconnect after a driver-domain
@@ -17,7 +19,9 @@
 use kite_sim::Nanos;
 use kite_trace::EventKind;
 use kite_xen::xenbus::read_state;
-use kite_xen::{DeviceKind, DevicePaths, Hypervisor, Result, XenError, XenbusState};
+use kite_xen::{
+    CopyMode, DeviceKind, DevicePaths, Hypervisor, Port, Result, XenError, XenbusState,
+};
 
 /// Trace identity of a device slot: `<kind>/<frontend-domain>/<index>`.
 fn device_label(kind: DeviceKind, paths: &DevicePaths) -> String {
@@ -39,18 +43,26 @@ fn trace_transition(
     });
 }
 
+/// Lifetime counters a backend instance keeps. The system layer folds
+/// each dead incarnation's counters into a running base so totals
+/// survive driver-domain restarts.
+pub trait BackendStats: Copy + Default {
+    /// Folds another instance's counters into this one.
+    fn merge(&mut self, other: &Self);
+}
+
 /// The lifecycle hooks every backend driver implements.
 ///
-/// `run` is the driver's thread body — netback's pusher/soft_start pass,
-/// blkback's request thread — parameterized by the external resource it
-/// drives (`RunCtx`: nothing for netback, the NVMe device for blkback).
+/// Every backend runs one or more queues (netback Tx/Rx pairs, blkback
+/// rings), each with its own event channel and driver vCPU; the queue
+/// accessors below are what a driver-domain harness needs to route
+/// interrupts, inject per-queue faults and probe ring progress without
+/// knowing which driver it hosts.
 pub trait BackendDevice: Sized {
     /// Everything `connect` needs besides the device pair.
     type Config: Clone;
-    /// External resource the run hook drives.
-    type RunCtx;
-    /// What one run quantum produces for the system layer to schedule.
-    type RunOutput;
+    /// Lifetime counters of one instance.
+    type Stats: BackendStats;
     /// The xenstore device kind this driver serves.
     const KIND: DeviceKind;
 
@@ -61,15 +73,6 @@ pub trait BackendDevice: Sized {
     /// The device pair this instance serves.
     fn device_paths(&self) -> DevicePaths;
 
-    /// One bounded work quantum of the driver's thread.
-    fn run(
-        &mut self,
-        hv: &mut Hypervisor,
-        ctx: &mut Self::RunCtx,
-        now: Nanos,
-        budget: usize,
-    ) -> Result<Self::RunOutput>;
-
     /// Quiesces the device and announces `Closing`; resources stay held.
     fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()>;
 
@@ -77,16 +80,39 @@ pub trait BackendDevice: Sized {
     /// `Closed`.
     fn close(self, hv: &mut Hypervisor) -> Result<()>;
 
-    /// Orderly teardown followed by a fresh connect — the non-crash
-    /// reconfiguration path.
-    fn reconnect(
-        self,
-        hv: &mut Hypervisor,
-        paths: &DevicePaths,
-        cfg: &Self::Config,
-    ) -> Result<Self> {
-        self.close(hv)?;
-        Self::connect(hv, paths, cfg)
+    /// Instance statistics.
+    fn stats(&self) -> Self::Stats;
+
+    /// Number of negotiated queues.
+    fn queue_count(&self) -> usize;
+
+    /// Queue `q`'s backend-local event-channel port.
+    fn port_of(&self, q: usize) -> Port;
+
+    /// Switches between batched and single-op grant copies (ablation).
+    fn set_copy_mode(&mut self, mode: CopyMode);
+
+    /// Wedges (or unwedges) queue `q`'s thread — the fault-injection
+    /// hook behind the "one queue stuck, domain still beating" scenario.
+    fn set_queue_wedged(&mut self, q: usize, wedged: bool);
+
+    /// The cost of the event-channel interrupt handler itself: ack the
+    /// port and wake the queue's thread. Nothing else happens in IRQ
+    /// context — the paper's central latency argument.
+    fn irq_handler_cost(&self) -> Nanos;
+
+    /// Per-queue ring-progress watermarks: `(consumed, pending)` for
+    /// each queue. `consumed` is the queue's lifetime consumer watermark
+    /// — it only moves when the queue's thread actually runs, so a health
+    /// monitor comparing successive samples can tell a livelocked queue
+    /// from an idle one. `pending` counts work not yet picked up.
+    fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)>;
+
+    /// Ring-progress watermarks summed across queues.
+    fn progress(&self, hv: &Hypervisor) -> (u64, u64) {
+        self.queue_progress(hv)
+            .into_iter()
+            .fold((0, 0), |(c, p), (qc, qp)| (c + qc, p + qp))
     }
 }
 
@@ -197,14 +223,6 @@ impl<D: BackendDevice> DeviceLifecycle<D> {
             trace_transition(hv, D::KIND, &self.paths, "abandon");
         }
         d
-    }
-
-    /// Orderly close (if connected) followed by a fresh connect against
-    /// the current paths — [`BackendDevice::reconnect`] driven from the
-    /// slot.
-    pub fn reconnect(&mut self, hv: &mut Hypervisor) -> Result<&mut D> {
-        self.close(hv)?;
-        self.connect(hv)
     }
 }
 

@@ -42,6 +42,7 @@ use kite_xen::{
     PageId, Port, ReqId, ReqStage, Result, SlotClass, XenError, XenbusState, PAGE_SIZE,
 };
 
+use crate::lifecycle::{BackendDevice, BackendStats};
 use crate::stats::CopyStats;
 
 /// Queues a backend accepts when the toolstack wrote no
@@ -120,25 +121,6 @@ impl NetbackStats {
         self.copy.bytes_per_hypercall()
     }
 
-    /// Folds another instance's counters into this one — used by the
-    /// system layer to keep lifetime stats across backend restarts.
-    pub fn merge(&mut self, other: &NetbackStats) {
-        self.tx_packets += other.tx_packets;
-        self.tx_bytes += other.tx_bytes;
-        self.rx_packets += other.rx_packets;
-        self.rx_bytes += other.rx_bytes;
-        self.rx_dropped += other.rx_dropped;
-        self.tx_errors += other.tx_errors;
-        self.gso_tx_frames += other.gso_tx_frames;
-        self.gso_tx_segs += other.gso_tx_segs;
-        self.lro_rx_frames += other.lro_rx_frames;
-        self.gso_bad_size += other.gso_bad_size;
-        self.gso_truncated += other.gso_truncated;
-        self.gso_seg_mismatch += other.gso_seg_mismatch;
-        self.gso_unnegotiated += other.gso_unnegotiated;
-        self.copy.merge(&other.copy);
-    }
-
     /// Malformed-chain rejections, all causes.
     pub fn gso_errors(&self) -> u64 {
         self.gso_bad_size + self.gso_truncated + self.gso_seg_mismatch + self.gso_unnegotiated
@@ -160,6 +142,25 @@ impl NetbackStats {
         snap.push_int("gso_seg_mismatch", "count", self.gso_seg_mismatch);
         snap.push_int("gso_unnegotiated", "count", self.gso_unnegotiated);
         self.copy.append_metrics(snap, "copy_");
+    }
+}
+
+impl BackendStats for NetbackStats {
+    fn merge(&mut self, other: &NetbackStats) {
+        self.tx_packets += other.tx_packets;
+        self.tx_bytes += other.tx_bytes;
+        self.rx_packets += other.rx_packets;
+        self.rx_bytes += other.rx_bytes;
+        self.rx_dropped += other.rx_dropped;
+        self.tx_errors += other.tx_errors;
+        self.gso_tx_frames += other.gso_tx_frames;
+        self.gso_tx_segs += other.gso_tx_segs;
+        self.lro_rx_frames += other.lro_rx_frames;
+        self.gso_bad_size += other.gso_bad_size;
+        self.gso_truncated += other.gso_truncated;
+        self.gso_seg_mismatch += other.gso_seg_mismatch;
+        self.gso_unnegotiated += other.gso_unnegotiated;
+        self.copy.merge(&other.copy);
     }
 }
 
@@ -368,53 +369,9 @@ impl NetbackInstance {
         self.csum_offload
     }
 
-    /// Instance statistics.
-    pub fn stats(&self) -> NetbackStats {
-        self.stats
-    }
-
-    /// Number of negotiated queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Queue `q`'s backend-local event-channel port.
-    pub fn port_of(&self, q: usize) -> Port {
-        self.queues[q].evtchn
-    }
-
-    /// True if `port` belongs to any of this instance's queues.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.queues.iter().any(|qu| qu.evtchn == port)
-    }
-
     /// How this instance issues its grant copies (batched by default).
     pub fn copy_mode(&self) -> CopyMode {
         self.copy_mode
-    }
-
-    /// Switches between the batched fast path and the legacy one-hypercall
-    /// -per-packet shape (ablation benches, equivalence tests).
-    pub fn set_copy_mode(&mut self, mode: CopyMode) {
-        self.copy_mode = mode;
-    }
-
-    /// Wedges (or unwedges) one queue's threads — the fault-injection
-    /// hook behind the "one queue stuck, domain still beating" scenario.
-    pub fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
-        self.queues[q].wedged = wedged;
-    }
-
-    /// Whether queue `q` is wedged.
-    pub fn queue_wedged(&self, q: usize) -> bool {
-        self.queues[q].wedged
-    }
-
-    /// The cost of the event-channel interrupt handler itself: ack the
-    /// port and wake the pusher. Nothing else happens in IRQ context —
-    /// the paper's central latency argument.
-    pub fn irq_handler_cost(&self) -> Nanos {
-        self.profile.irq_overhead
     }
 
     /// The trace label for ring-drain events: per-queue tracks only make
@@ -786,40 +743,6 @@ impl NetbackInstance {
         self.queues.iter().map(|qu| qu.to_guest.len()).collect()
     }
 
-    /// Ring-progress sample for health monitoring, aggregated across
-    /// queues: `(consumed, pending)`. See
-    /// [`NetbackInstance::queue_progress`] for the per-queue watermarks a
-    /// stall detector should prefer — an aggregate hides one wedged
-    /// queue behind its siblings' progress.
-    pub fn progress(&self, hv: &Hypervisor) -> (u64, u64) {
-        self.queue_progress(hv)
-            .into_iter()
-            .fold((0, 0), |(c, p), (qc, qp)| (c + qc, p + qp))
-    }
-
-    /// Per-queue ring-progress watermarks: `(consumed, pending)` for
-    /// each queue.
-    ///
-    /// `consumed` is the queue's lifetime consumer watermark across both
-    /// rings — it only moves when the queue's threads actually run, so a
-    /// health monitor comparing successive samples can tell a livelocked
-    /// queue from an idle one. `pending` counts work the queue has not
-    /// picked up yet: unconsumed Tx requests plus queued world → guest
-    /// frames.
-    pub fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
-        self.queues
-            .iter()
-            .map(|qu| {
-                let consumed = qu.tx_ring.req_cons() as u64 + qu.rx_ring.req_cons() as u64;
-                let tx_pending = match hv.mem.page(qu.tx_page) {
-                    Ok(page) => qu.tx_ring.unconsumed_requests(page) as u64,
-                    Err(_) => 0,
-                };
-                (consumed, tx_pending + qu.to_guest.len() as u64)
-            })
-            .collect()
-    }
-
     /// The **soft_start** thread body for queue `q`: pairs the queue's
     /// waiting frames with posted Rx requests, staging each frame in its
     /// own buffer page and hypervisor-copying the whole fill into guest
@@ -1010,10 +933,9 @@ impl NetbackInstance {
     }
 }
 
-impl crate::lifecycle::BackendDevice for NetbackInstance {
+impl BackendDevice for NetbackInstance {
     type Config = OsProfile;
-    type RunCtx = ();
-    type RunOutput = (TxBatch, RxBatch);
+    type Stats = NetbackStats;
     const KIND: kite_xen::DeviceKind = kite_xen::DeviceKind::Vif;
 
     fn connect(hv: &mut Hypervisor, paths: &DevicePaths, cfg: &OsProfile) -> Result<Self> {
@@ -1024,36 +946,52 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
         DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vif, self.index)
     }
 
-    fn run(
-        &mut self,
-        hv: &mut Hypervisor,
-        _ctx: &mut (),
-        _now: Nanos,
-        budget: usize,
-    ) -> Result<(TxBatch, RxBatch)> {
-        let mut tx = TxBatch::default();
-        let mut rx = RxBatch::default();
-        for q in 0..self.queues.len() {
-            let t = self.pusher_run(hv, q, budget)?;
-            tx.frames.extend(t.frames);
-            tx.cost += t.cost;
-            tx.notify |= t.notify;
-            tx.more |= t.more;
-            let r = self.soft_start_run(hv, q, budget)?;
-            rx.delivered += r.delivered;
-            rx.cost += r.cost;
-            rx.notify |= r.notify;
-            rx.more |= r.more;
-        }
-        Ok((tx, rx))
-    }
-
     fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
         NetbackInstance::suspend(self, hv)
     }
 
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         NetbackInstance::close(self, hv)
+    }
+
+    fn stats(&self) -> NetbackStats {
+        self.stats
+    }
+
+    fn queue_count(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn port_of(&self, q: usize) -> Port {
+        self.queues[q].evtchn
+    }
+
+    fn set_copy_mode(&mut self, mode: CopyMode) {
+        self.copy_mode = mode;
+    }
+
+    fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
+        self.queues[q].wedged = wedged;
+    }
+
+    fn irq_handler_cost(&self) -> Nanos {
+        self.profile.irq_overhead
+    }
+
+    /// `consumed` spans both rings of a queue; `pending` is unconsumed Tx
+    /// requests plus queued world → guest frames.
+    fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
+        self.queues
+            .iter()
+            .map(|qu| {
+                let consumed = qu.tx_ring.req_cons() as u64 + qu.rx_ring.req_cons() as u64;
+                let tx_pending = match hv.mem.page(qu.tx_page) {
+                    Ok(page) => qu.tx_ring.unconsumed_requests(page) as u64,
+                    Err(_) => 0,
+                };
+                (consumed, tx_pending + qu.to_guest.len() as u64)
+            })
+            .collect()
     }
 }
 

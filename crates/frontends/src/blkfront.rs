@@ -213,11 +213,6 @@ impl Blkfront {
         self.rings[q].evtchn
     }
 
-    /// True if `port` belongs to any of this frontend's rings.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.rings.iter().any(|r| r.evtchn == port)
-    }
-
     /// The ring a still-outstanding request went out on.
     pub fn ring_of(&self, id: u64) -> Option<usize> {
         self.pending.get(&id).map(|p| p.ring)
@@ -251,11 +246,6 @@ impl Blkfront {
             BLKIF_MAX_SEGMENTS_PER_REQUEST
         };
         segs * kite_xen::PAGE_SIZE
-    }
-
-    /// Free request slots across all rings.
-    pub fn free_slots(&self) -> u32 {
-        self.rings.iter().map(|r| r.ring.free_requests()).sum()
     }
 
     /// Picks the next ring round-robin, skipping full rings.

@@ -315,11 +315,6 @@ impl Netfront {
         self.queues[q].evtchn
     }
 
-    /// True if `port` belongs to any of this device's queues.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.queues.iter().any(|qu| qu.evtchn == port)
-    }
-
     /// Posts every free Rx buffer on every queue. Returns the queues
     /// whose backend end should be notified.
     pub fn post_rx_buffers(&mut self, hv: &mut Hypervisor) -> Result<Vec<usize>> {
@@ -531,11 +526,6 @@ impl Netfront {
     /// Takes the next received frame, if any.
     pub fn recv(&mut self) -> Option<Vec<u8>> {
         self.received.pop_front()
-    }
-
-    /// Frames received and not yet taken.
-    pub fn pending_rx(&self) -> usize {
-        self.received.len()
     }
 
     /// Frames dropped at send time for want of ring space.

@@ -1,19 +1,15 @@
 //! One builder for both systems: [`SystemConfig`].
 //!
-//! The constructor proliferation it replaces (`new`, `new_with_queues`,
-//! `with_tuning`, `with_tuning_queues`, then `set_copy_mode` /
-//! `enable_watchdog` / `enable_tracing` calls sprinkled after) collapses
-//! into a single fluent description of a scenario that either
+//! A single fluent description of a scenario — queue count, copy mode,
+//! watchdog, tracing, scheduler, device tuning — that either
 //! [`build_net`](SystemConfig::build_net) or
-//! [`build_stor`](SystemConfig::build_stor) consumes. The old
-//! constructors survive as thin wrappers, but new code should not use
-//! them (clippy's `disallowed-methods` steers it here).
+//! [`build_stor`](SystemConfig::build_stor) consumes.
 
 use kite_core::BlkbackTuning;
 use kite_devices::{LineRate, NvmeProfile};
 use kite_health::{MonitorConfig, SloConfig};
 use kite_sim::{Nanos, SchedulerKind};
-use kite_xen::{CopyMode, QueueMode};
+use kite_xen::CopyMode;
 
 use crate::netsys::{BackendOs, NetSystem};
 use crate::storsys::StorSystem;
@@ -55,7 +51,7 @@ pub enum GsoMode {
 pub struct SystemConfig {
     pub(crate) os: BackendOs,
     pub(crate) seed: u64,
-    pub(crate) queue_mode: QueueMode,
+    pub(crate) queues: u32,
     pub(crate) copy_mode: CopyMode,
     pub(crate) watchdog: Option<MonitorConfig>,
     pub(crate) slo: Option<SloConfig>,
@@ -79,7 +75,7 @@ impl SystemConfig {
         SystemConfig {
             os,
             seed,
-            queue_mode: QueueMode::Single,
+            queues: 1,
             copy_mode: CopyMode::default(),
             watchdog: None,
             slo: None,
@@ -96,22 +92,11 @@ impl SystemConfig {
         }
     }
 
-    /// Number of device queues: `1` is the legacy single-queue layout,
-    /// `n > 1` negotiates `n` ring pairs on an `n`-vCPU driver domain.
+    /// Number of device queues: `1` (the default, as is `0`) is the
+    /// legacy single-queue layout, `n > 1` negotiates `n` ring pairs on
+    /// an `n`-vCPU driver domain.
     pub fn queues(mut self, n: u32) -> SystemConfig {
-        self.queue_mode = if n <= 1 {
-            QueueMode::Single
-        } else {
-            QueueMode::Multi(n)
-        };
-        self
-    }
-
-    /// Sets the queue layout explicitly (e.g. `QueueMode::Multi(1)`,
-    /// which is behaviorally identical to `Single` but exercises the
-    /// negotiation path).
-    pub fn queue_mode(mut self, mode: QueueMode) -> SystemConfig {
-        self.queue_mode = mode;
+        self.queues = n.max(1);
         self
     }
 
@@ -189,12 +174,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the segmentation mode explicitly (see [`GsoMode`]).
-    pub fn gso_mode(mut self, mode: GsoMode) -> SystemConfig {
-        self.gso_mode = mode;
-        self
-    }
-
     /// Wire speed for the NIC and the client link (network systems
     /// only): 10/25/100GbE profiles that also scale interrupt moderation.
     /// Unset keeps the paper's stock 82599 10GbE device model.
@@ -225,7 +204,7 @@ impl SystemConfig {
     /// guest) with this configuration applied.
     pub fn build_net(self) -> NetSystem {
         let mut sys = NetSystem::from_config(&self);
-        self.finish_net(&mut sys);
+        sys.configure(&self);
         sys
     }
 
@@ -233,55 +212,7 @@ impl SystemConfig {
     /// NVMe) with this configuration applied.
     pub fn build_stor(self) -> StorSystem {
         let mut sys = StorSystem::from_config(&self);
-        self.finish_stor(&mut sys);
+        sys.configure(&self);
         sys
-    }
-
-    fn finish_net(&self, sys: &mut NetSystem) {
-        if let Some(cap) = self.tracing {
-            sys.enable_tracing(cap);
-        }
-        if let Some(n) = self.req_tracing {
-            sys.enable_req_tracing(n);
-        }
-        if self.copy_mode != CopyMode::default() {
-            sys.set_copy_mode(self.copy_mode);
-        }
-        if let Some(slo) = self.slo {
-            sys.set_slo(slo);
-        }
-        if let Some(cfg) = self.watchdog {
-            sys.enable_watchdog(cfg);
-        }
-        if self.profiling {
-            kite_prof::enable();
-        }
-        if let Some((every, cap)) = self.sampling {
-            sys.enable_sampling(every, cap);
-        }
-    }
-
-    fn finish_stor(&self, sys: &mut StorSystem) {
-        if let Some(cap) = self.tracing {
-            sys.enable_tracing(cap);
-        }
-        if let Some(n) = self.req_tracing {
-            sys.enable_req_tracing(n);
-        }
-        if self.copy_mode != CopyMode::default() {
-            sys.set_copy_mode(self.copy_mode);
-        }
-        if let Some(slo) = self.slo {
-            sys.set_slo(slo);
-        }
-        if let Some(cfg) = self.watchdog {
-            sys.enable_watchdog(cfg);
-        }
-        if self.profiling {
-            kite_prof::enable();
-        }
-        if let Some((every, cap)) = self.sampling {
-            sys.enable_sampling(every, cap);
-        }
     }
 }

@@ -1,17 +1,22 @@
 //! Full-system composition: the paper's testbed as a discrete-event
 //! simulation.
 //!
-//! [`netsys::NetSystem`] wires client ⇄ wire ⇄ NIC ⇄ driver domain
-//! (bridge + netback) ⇄ netfront ⇄ guest; [`storsys::StorSystem`] wires
-//! guest ⇄ blkfront ⇄ driver domain (blkback) ⇄ NVMe. Both run under
-//! either the Kite or the Linux [`netsys::BackendOs`] profile, which is
-//! how every Kite-vs-Linux figure is produced.
+//! [`NetSystem`] wires client ⇄ wire ⇄ NIC ⇄ driver domain (bridge +
+//! netback) ⇄ netfront ⇄ guest; [`StorSystem`] wires guest ⇄ blkfront ⇄
+//! driver domain (blkback) ⇄ NVMe. Both are one [`DriverDomain`] harness
+//! — Hypervisor, event loop, bring-up, fault/watchdog/recovery state
+//! machine, tracing and `kitetop` — around their own data path
+//! ([`NetPath`], [`StorPath`]). Both run under either the Kite or the
+//! Linux [`BackendOs`] profile, which is how every Kite-vs-Linux figure
+//! is produced.
 
-pub mod config;
-pub mod netsys;
-pub mod storsys;
+mod config;
+mod harness;
+mod netsys;
+mod storsys;
 
 pub use config::{GsoMode, SystemConfig};
+pub use harness::DriverDomain;
 pub use kite_devices::LineRate;
 pub use kite_sim::SchedulerKind;
 
@@ -20,6 +25,7 @@ pub use kite_health::{
     SloConfig, TopRow, TopSnapshot,
 };
 pub use netsys::{
-    addrs, BackendOs, NetMetrics, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP, MAX_UDP,
+    addrs, BackendOs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP,
+    MAX_UDP,
 };
-pub use storsys::{IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorSystem};
+pub use storsys::{IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorPath, StorSystem};

@@ -16,16 +16,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use kite_core::{
-    provision_device, BackendManager, DeviceLifecycle, NetbackInstance, NetbackStats, NetworkApp,
-    RecoveryStats,
-};
+use kite_core::{BackendDevice, NetbackInstance, NetbackStats, NetworkApp};
 use kite_devices::{LineRate, Nic, NicProfile, RxIrq};
 use kite_frontends::Netfront;
-use kite_health::{
-    slo, BreachAttribution, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher,
-    MonitorConfig, ProgressSample, SloConfig, TopRow, TopSnapshot,
-};
+use kite_health::TopRow;
 use kite_linux::{linux_profile, ubuntu_boot};
 use kite_net::ether::{tso_wire_cost, TSO_MSS};
 use kite_net::{
@@ -33,18 +27,13 @@ use kite_net::{
     UdpDatagram,
 };
 use kite_rumprun::{kite_boot, kite_profile, BootSequence, OsProfile};
-use kite_sim::{
-    Cpu, CpuPool, EventSched, Histogram, Link, Nanos, OnlineStats, Pcg, Scheduler, SchedulerKind,
-    TxOutcome,
-};
-use kite_trace::{EventKind, MetricsSnapshot, SampleKind, TimeSeriesSampler, DEFAULT_REQ_CAPACITY};
-use kite_xen::xenbus::{FEATURE_GSO_KEY, MQ_MAX_QUEUES_KEY};
-use kite_xen::{
-    Bdf, CopyMode, DeviceKind, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan,
-    Hypervisor, Notification, Port, QueueMode, ReqStage, SlotClass, XenbusState,
-};
+use kite_sim::{Link, Nanos, OnlineStats, Pcg, TxOutcome};
+use kite_trace::{EventKind, MetricsSnapshot, SampleKind, TimeSeriesSampler};
+use kite_xen::xenbus::FEATURE_GSO_KEY;
+use kite_xen::{DomainId, PciClass, PciDevice, ReqStage, SlotClass};
 
 use crate::config::{GsoMode, SystemConfig};
+use crate::harness::{DataPath, DriverDomain, Event};
 
 /// Which OS runs the driver domain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -127,9 +116,8 @@ pub enum Side {
     Client,
 }
 
-enum Event {
-    /// Event-channel notification arrives at a domain.
-    Irq { dom: DomainId, port: Port },
+/// Events only the network data path schedules.
+pub enum NetEvent {
     /// The server NIC's moderated receive interrupt.
     NicIrq,
     /// A frame lands on the server NIC from the wire.
@@ -138,47 +126,19 @@ enum Event {
     WireToClient(Vec<u8>),
     /// A pre-scheduled application send.
     AppSend {
+        /// Sending endpoint.
         side: Side,
+        /// Destination address.
         dst_ip: Ipv4Addr,
+        /// Destination port.
         dst_port: u16,
+        /// Source port.
         src_port: u16,
+        /// Payload bytes (at most one PV transfer unit).
         payload: Vec<u8>,
     },
     /// The client transmits a pre-built frame (ping).
     ClientTxFrame(Vec<u8>),
-    /// The driver domain dies (fault injection / `xl destroy`).
-    DriverCrash,
-    /// The driver domain livelocks: its data path stops making progress
-    /// while the domain (and its heartbeat task) keeps running.
-    DriverHang,
-    /// One netback queue's threads wedge (stuck kthread): the domain and
-    /// its other queues keep working, only this queue stops.
-    QueueWedge(usize),
-    /// The replacement driver domain finished booting.
-    DriverRestarted,
-    /// The driver domain's heartbeat task publishes its next beat.
-    BeatTick,
-    /// Dom0's health monitor runs its next probe.
-    ProbeTick,
-    /// The time-series sampler takes its next snapshot.
-    SampleTick,
-}
-
-/// Profiling phase for an event dispatch, by event kind.
-fn phase_of(ev: &Event) -> kite_prof::Phase {
-    use kite_prof::Phase;
-    match ev {
-        Event::AppSend { .. } => Phase::DispatchAppSend,
-        Event::WireToServer(_) | Event::WireToClient(_) | Event::ClientTxFrame(_) => {
-            Phase::DispatchWire
-        }
-        Event::NicIrq => Phase::DispatchNicIrq,
-        Event::Irq { .. } => Phase::DispatchIrq,
-        Event::DriverCrash | Event::DriverHang | Event::QueueWedge(_) => Phase::DispatchFault,
-        Event::DriverRestarted => Phase::DispatchRecovery,
-        Event::BeatTick | Event::ProbeTick => Phase::DispatchHealthTick,
-        Event::SampleTick => Phase::DispatchSample,
-    }
 }
 
 /// Largest message chunk crossing the PV path at once in
@@ -221,17 +181,23 @@ fn guest_idle_wake(idle: Nanos) -> Nanos {
 /// whole round trip. Only called while tracing is enabled — decoding
 /// allocates, and the disabled path must not.
 fn icmp_echo_seq(frame: &[u8]) -> Option<u16> {
-    let eth = EthernetFrame::decode(frame)?;
-    if eth.ethertype != EtherType::Ipv4 {
-        return None;
-    }
-    let ip = Ipv4Packet::decode(&eth.payload)?;
+    let (_, ip) = decode_ipv4(frame)?;
     if ip.proto != IpProto::Icmp {
         return None;
     }
     match IcmpMessage::decode(&ip.payload)? {
         IcmpMessage::EchoRequest { seq, .. } | IcmpMessage::EchoReply { seq, .. } => Some(seq),
     }
+}
+
+/// Decodes an Ethernet frame carrying IPv4.
+fn decode_ipv4(frame: &[u8]) -> Option<(EthernetFrame, Ipv4Packet)> {
+    let eth = EthernetFrame::decode(frame)?;
+    if eth.ethertype != EtherType::Ipv4 {
+        return None;
+    }
+    let ip = Ipv4Packet::decode(&eth.payload)?;
+    Some((eth, ip))
 }
 
 /// Measurement taps exposed to workloads.
@@ -265,38 +231,22 @@ pub mod addrs {
     pub const NETMASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 }
 
-/// The network scenario system.
-pub struct NetSystem {
-    /// The simulated Xen machine.
-    pub hv: Hypervisor,
-    /// Which OS the driver domain runs.
-    pub os: BackendOs,
-    queue: EventSched<Event>,
+/// The network data path: client ⇄ wire ⇄ NIC ⇄ bridge ⇄ netback ⇄
+/// netfront ⇄ guest application.
+pub struct NetPath {
+    /// Seed-jittered driver-domain OS costs (parameterizes netback too).
     profile: OsProfile,
-    driver: DomainId,
-    guest: DomainId,
-    queue_mode: QueueMode,
     gso_mode: GsoMode,
     wire: Option<LineRate>,
     /// Largest UDP chunk the guest/client stacks hand to one PV transfer
     /// (one ring slot, or one descriptor chain with GSO on).
     max_tx_unit: usize,
-    driver_cpus: CpuPool,
     nic: Nic,
-    nic_bdf: Bdf,
     phys_mac: MacAddr,
     /// The driver domain's network application (bridge + interfaces).
     pub netapp: NetworkApp,
-    mgr: BackendManager,
-    paths: DevicePaths,
-    netback: DeviceLifecycle<NetbackInstance>,
-    nb_stats_base: NetbackStats,
-    copy_mode: CopyMode,
     vif_port: BridgePort,
     if_port: BridgePort,
-    guest_cpus: Vec<Cpu>,
-    guest_rr: usize,
-    guest_last_end: Nanos,
     netfront: Option<Netfront>,
     nf_dropped_base: u64,
     guest_mac: MacAddr,
@@ -306,31 +256,18 @@ pub struct NetSystem {
     client_link: Link,
     client_app: Option<UdpHandler>,
     icmp_sent: HashMap<u16, Nanos>,
-    boot: BootSequence,
-    /// Crash/restart recovery accounting.
-    pub recovery: RecoveryStats,
     /// Measurement taps.
     pub metrics: NetMetrics,
-    /// Deterministic RNG stream for jitter.
-    pub rng: Pcg,
-    events_processed: u64,
-    mode: DetectionMode,
-    monitor: Option<HealthMonitor>,
-    heartbeat: Option<HeartbeatPublisher>,
-    /// The driver domain is livelocked: alive and beating, data path dead.
-    hung: bool,
-    /// At least one netback queue is wedged (partial failure injected).
-    queue_wedged: bool,
-    /// A detected outage is being recovered (detect → reconnect window).
-    recovering: bool,
-    /// Injected fault events still scheduled; keeps the watchdog ticking.
-    pending_faults: u32,
-    slo_cfg: SloConfig,
-    latency_hist: Histogram,
-    sampler: Option<TimeSeriesSampler>,
-    /// Stage attribution of the most recent SLO p99 breach the watchdog
-    /// observed (request tracing on), for `kitetop`/health reporting.
-    last_breach: Option<BreachAttribution>,
+}
+
+/// The network scenario system: a [`DriverDomain`] running netback.
+pub type NetSystem = DriverDomain<NetPath>;
+
+/// The driver domain's physical interface (and the bridge port behind it).
+const PHYS_IF: &str = "ixg0";
+
+fn start_netapp(phys_mac: MacAddr) -> NetworkApp {
+    NetworkApp::start(PHYS_IF, phys_mac, addrs::GATEWAY, addrs::NETMASK)
 }
 
 impl NetSystem {
@@ -342,113 +279,26 @@ impl NetSystem {
         SystemConfig::new(os, seed).build_net()
     }
 
-    /// Like [`NetSystem::new`], but with `queues` device queues.
-    ///
-    /// Thin compatibility wrapper over [`SystemConfig`]; new code should
-    /// use the builder (`SystemConfig::new(..).queue_mode(..)`), which
-    /// also exposes copy mode, watchdog, tracing and scheduler choice.
-    pub fn new_with_queues(os: BackendOs, seed: u64, queues: QueueMode) -> NetSystem {
-        SystemConfig::new(os, seed).queue_mode(queues).build_net()
-    }
-
     /// Builds the scenario from a [`SystemConfig`]: the driver domain
     /// gets one vCPU per queue, the toolstack advertises
     /// `multi-queue-max-queues` on the backend, and the frontend
-    /// negotiates that many ring pairs. `QueueMode::Multi(1)` takes the
-    /// identical code path as `Single` (no multi-queue keys are ever
-    /// written), so the two are behaviorally indistinguishable.
+    /// negotiates that many ring pairs. One queue keeps the legacy flat
+    /// xenstore layout (no multi-queue keys are ever written).
     pub(crate) fn from_config(cfg: &SystemConfig) -> NetSystem {
-        let (os, seed, queues) = (cfg.os, cfg.seed, cfg.queue_mode);
-        let nqueues = queues.queues();
-        let mut profile = os.profile();
+        let mut profile = cfg.os.profile();
         // Run-to-run noise: real machines vary a little between runs
         // (cache/NUMA placement, interrupt alignment). Perturb the OS
         // costs by a seed-derived ±0.4% so repeated runs with different
         // seeds report realistic relative standard deviations (Table 4).
-        let mut jrng = Pcg::new(seed, 0x6a69747465725f31);
+        let mut jrng = Pcg::new(cfg.seed, 0x6a69747465725f31);
         profile.per_packet = jrng.jitter(profile.per_packet, 0.004);
         profile.wakeup_latency = jrng.jitter(profile.wakeup_latency, 0.004);
         profile.idle_wake_cap = jrng.jitter(profile.idle_wake_cap, 0.004);
-        let mut hv = Hypervisor::new();
-        hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
-        let driver = hv.create_domain(
-            match os {
-                BackendOs::Kite => "netbackend",
-                BackendOs::Linux => "ubuntu-dd",
-            },
-            DomainKind::Driver,
-            if os == BackendOs::Kite { 1024 } else { 2048 },
-            nqueues,
-        );
-        let guest = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
-
-        // PCI passthrough of the NIC to the driver domain.
-        let bdf: kite_xen::Bdf = "03:00.0".parse().expect("static BDF");
-        hv.pci.add_device(kite_xen::PciDevice {
-            bdf,
-            class: kite_xen::PciClass::Network,
-            name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
-        });
-        hv.pci.make_assignable(bdf).expect("fresh device");
-        hv.pci.assign(bdf, driver).expect("assignable");
-
         let phys_mac = MacAddr::local(0xee01);
-        let guest_mac = MacAddr::local(0xaa01);
-        let client_mac = MacAddr::local(0xcc01);
-
-        let mut netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY, addrs::NETMASK);
-        let if_port = netapp.port_of("ixg0").expect("attached at start");
-
-        let mut mgr = BackendManager::new(driver, DeviceKind::Vif);
-        mgr.start(&mut hv).expect("watch");
-        let paths = DevicePaths::new(guest, driver, DeviceKind::Vif, 0);
-        provision_device(&mut hv, &paths).expect("provision");
-        if nqueues > 1 {
-            // The toolstack advertises how many queues this backend
-            // accepts; the frontend reads it and negotiates.
-            let be = paths.backend();
-            hv.store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{MQ_MAX_QUEUES_KEY}"),
-                    &nqueues.to_string(),
-                )
-                .expect("advertise queues");
-        }
-        if cfg.gso_mode == GsoMode::On {
-            // The toolstack advertises segmentation offload under the
-            // backend path; the frontend echoes it when willing.
-            let be = paths.backend();
-            hv.store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{FEATURE_GSO_KEY}"),
-                    "1",
-                )
-                .expect("advertise gso");
-        }
-        mgr.drain_events(&mut hv).expect("scan");
-        let netfront =
-            Netfront::connect_with_queues(&mut hv, &paths, guest_mac, nqueues).expect("netfront");
-        let ready = mgr.drain_events(&mut hv).expect("events");
-        assert_eq!(ready.len(), 1, "frontend discovered via watch event");
-        let mut netback: DeviceLifecycle<NetbackInstance> =
-            DeviceLifecycle::new(ready[0].clone(), profile.clone());
-        netback.connect(&mut hv).expect("netback");
-        let vif_port = netapp.add_vif(&netback.device().expect("connected").vif, guest_mac);
-        hv.switch_state(guest, &paths.frontend_state(), XenbusState::Connected)
-            .expect("frontend connect");
-
-        NetSystem {
-            hv,
-            os,
-            queue: EventSched::new(cfg.scheduler),
-            profile,
-            driver,
-            guest,
-            queue_mode: queues,
+        let netapp = start_netapp(phys_mac);
+        let if_port = netapp.port_of(PHYS_IF).expect("attached at start");
+        let dp = NetPath {
+            profile: profile.clone(),
             gso_mode: cfg.gso_mode,
             wire: cfg.wire,
             max_tx_unit: match cfg.gso_mode {
@@ -456,28 +306,19 @@ impl NetSystem {
                 GsoMode::Off => TSO_MSS,
                 GsoMode::On => GSO_UDP,
             },
-            driver_cpus: CpuPool::new(nqueues as usize),
             nic: match cfg.wire {
                 None => Nic::ten_gbe(),
                 Some(rate) => Nic::with_profile(NicProfile::default().with_line_rate(rate)),
             },
-            nic_bdf: bdf,
             phys_mac,
             netapp,
-            mgr,
-            paths,
-            netback,
-            nb_stats_base: NetbackStats::default(),
-            copy_mode: CopyMode::default(),
-            vif_port,
+            // Both ports are (re)learned at every bring-up.
+            vif_port: if_port,
             if_port,
-            guest_cpus: (0..22).map(|_| Cpu::new()).collect(),
-            guest_rr: 0,
-            guest_last_end: Nanos::ZERO,
-            netfront: Some(netfront),
+            netfront: None,
             nf_dropped_base: 0,
-            guest_mac,
-            client_mac,
+            guest_mac: MacAddr::local(0xaa01),
+            client_mac: MacAddr::local(0xcc01),
             guest_txq: VecDeque::new(),
             guest_app: None,
             client_link: match cfg.wire {
@@ -490,44 +331,25 @@ impl NetSystem {
             },
             client_app: None,
             icmp_sent: HashMap::new(),
-            boot: os.boot(),
-            recovery: RecoveryStats::default(),
             metrics: NetMetrics::default(),
-            rng: Pcg::seeded(seed),
-            events_processed: 0,
-            mode: DetectionMode::Oracle,
-            monitor: None,
-            heartbeat: None,
-            hung: false,
-            queue_wedged: false,
-            recovering: false,
-            pending_faults: 0,
-            slo_cfg: SloConfig::default(),
-            latency_hist: Histogram::default(),
-            sampler: None,
-            last_breach: None,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.queue.now()
+        };
+        DriverDomain::build(cfg, dp, profile)
     }
 
     /// Switches the driver domain's network application to NAT linking
     /// (the paper's §3.1 alternative to bridging). Call before traffic.
     pub fn use_nat(&mut self) {
-        self.netapp.use_nat();
+        self.dp.netapp.use_nat();
     }
 
     /// Installs the guest-side application handler.
     pub fn set_guest_app(&mut self, h: UdpHandler) {
-        self.guest_app = Some(h);
+        self.dp.guest_app = Some(h);
     }
 
     /// Installs the client-side application handler.
     pub fn set_client_app(&mut self, h: UdpHandler) {
-        self.client_app = Some(h);
+        self.dp.client_app = Some(h);
     }
 
     /// Schedules a UDP send at `t`; payloads above one MTU are chunked.
@@ -540,16 +362,16 @@ impl NetSystem {
         src_port: u16,
         payload: Vec<u8>,
     ) {
-        let unit = self.max_tx_unit;
-        let mut chunks: Vec<Vec<u8>> = if payload.len() <= unit {
+        let unit = self.dp.max_tx_unit;
+        let chunks: Vec<Vec<u8>> = if payload.len() <= unit {
             vec![payload]
         } else {
             payload.chunks(unit).map(|c| c.to_vec()).collect()
         };
-        for chunk in chunks.drain(..) {
-            self.queue.schedule_at(
+        for chunk in chunks {
+            self.schedule(
                 t,
-                Event::AppSend {
+                NetEvent::AppSend {
                     side,
                     dst_ip,
                     dst_port,
@@ -569,12 +391,12 @@ impl NetSystem {
         };
         let ip = Ipv4Packet::new(addrs::CLIENT, addrs::GUEST, IpProto::Icmp, req.encode());
         let frame = EthernetFrame::new(
-            self.guest_mac,
-            self.client_mac,
+            self.dp.guest_mac,
+            self.dp.client_mac,
             EtherType::Ipv4,
             ip.encode(),
         );
-        self.icmp_sent.insert(seq, t);
+        self.dp.icmp_sent.insert(seq, t);
         // Injection point for request tracing: the sampler decides here
         // whether this ping's round trip is followed stage by stage. The
         // client machine is outside any domain; its stamps book to dom 0.
@@ -582,430 +404,69 @@ impl NetSystem {
         if let Some(r) = self.hv.req.admit(0) {
             self.hv.req.map(SlotClass::NetIcmp, seq as u64, r);
         }
-        self.queue
-            .schedule_at(t, Event::ClientTxFrame(frame.encode()));
-    }
-
-    /// Schedules a driver-domain crash at `t` (kill injection).
-    pub fn crash_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverCrash);
-    }
-
-    /// Schedules a driver-domain livelock at `t` (hang injection).
-    pub fn hang_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverHang);
-    }
-
-    /// Schedules a single-queue wedge at `t`: queue `q`'s netback
-    /// threads stop running while the domain, its heartbeat, and every
-    /// other queue stay healthy. Only per-queue stall detection catches
-    /// this partial failure.
-    pub fn wedge_queue_at(&mut self, t: Nanos, q: usize) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::QueueWedge(q));
-    }
-
-    /// The negotiated queue layout.
-    pub fn queue_mode(&self) -> QueueMode {
-        self.queue_mode
-    }
-
-    /// The configured segmentation mode.
-    pub fn gso_mode(&self) -> GsoMode {
-        self.gso_mode
+        self.schedule(t, NetEvent::ClientTxFrame(frame.encode()));
     }
 
     /// The configured wire profile (`None` = the stock 10GbE device).
     pub fn wire(&self) -> Option<LineRate> {
-        self.wire
+        self.dp.wire
     }
 
     /// Whether the *connected* backend/frontend pair negotiated GSO
     /// chains (false while the backend is down).
     pub fn gso_negotiated(&self) -> bool {
-        self.netback.device().is_some_and(|nb| nb.gso())
-            && self.netfront.as_ref().is_some_and(|nf| nf.gso())
-    }
-
-    /// Queues on the currently connected netback (0 when down).
-    pub fn queue_count(&self) -> usize {
-        self.netback.device().map_or(0, |nb| nb.queue_count())
+        self.backend.device().is_some_and(|nb| nb.gso())
+            && self.dp.netfront.as_ref().is_some_and(|nf| nf.gso())
     }
 
     /// Per-queue world→guest backlog depths on the connected netback.
     pub fn rx_queue_depths(&self) -> Vec<usize> {
-        self.netback
+        self.backend
             .device()
             .map_or_else(Vec::new, |nb| nb.rx_backlogs())
     }
 
-    /// Arms a fault plan: per-op fault rates go live on the hypervisor,
-    /// and `kill_at` / `hang_at` times (if set) schedule the
-    /// driver-domain crash or livelock.
-    pub fn inject_faults(&mut self, mut plan: FaultPlan) {
-        if let Some(t) = plan.take_kill() {
-            self.crash_driver_at(t);
+    /// Collects the scenario's measurement taps, lifetime netback stats
+    /// and recovery accounting into one named snapshot.
+    pub fn metrics_snapshot(&self, scenario: impl Into<String>) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::new(scenario);
+        snap.push_int("client_rx_bytes", "bytes", self.dp.metrics.client_rx_bytes);
+        snap.push_int("client_rx_msgs", "count", self.dp.metrics.client_rx_msgs);
+        snap.push_int("guest_rx_bytes", "bytes", self.dp.metrics.guest_rx_bytes);
+        snap.push_int("guest_rx_msgs", "count", self.dp.metrics.guest_rx_msgs);
+        snap.push_int("drops", "count", self.dp.metrics.drops);
+        for (q, depth) in self.rx_queue_depths().into_iter().enumerate() {
+            snap.push_int(format!("rx_queue_depth_q{q}"), "count", depth as u64);
         }
-        if let Some(t) = plan.take_hang() {
-            self.hang_driver_at(t);
-        }
-        self.hv.faults = plan;
+        self.backend_stats().append_metrics(&mut snap);
+        self.recovery.append_metrics(&mut snap);
+        snap
     }
 
-    /// Switches failure detection from the oracle to the active watchdog:
-    /// the driver domain starts publishing heartbeats and Dom0 starts
-    /// probing them (plus ring progress and the SLO). Call before
-    /// injecting faults so the first probe precedes the first fault.
-    pub fn enable_watchdog(&mut self, cfg: MonitorConfig) {
-        let now = self.queue.now();
-        self.mode = DetectionMode::Watchdog;
-        self.monitor = Some(HealthMonitor::new(DomainId::DOM0, self.driver, cfg, now));
-        self.heartbeat = Some(HeartbeatPublisher::new(self.driver));
-        self.queue
-            .schedule_at(now + cfg.heartbeat_interval, Event::BeatTick);
-        self.queue
-            .schedule_at(now + cfg.probe_interval, Event::ProbeTick);
+    /// Netback statistics, summed across backend incarnations.
+    pub fn netback_stats(&self) -> NetbackStats {
+        self.backend_stats()
     }
 
-    /// Starts the time-series sampler: every `every` of virtual time a
-    /// `SampleTick` snapshots throughput counters (as deltas),
-    /// drop counters, per-queue RX depths, and the watchdog health state
-    /// into a bounded ring of `capacity` samples (oldest evicted first).
-    ///
-    /// The tick re-arms only while other events are still pending, so
-    /// [`run_to_quiescence`](Self::run_to_quiescence) terminates: the
-    /// sampler rides along with the workload instead of keeping the
-    /// clock alive on its own.
-    pub fn enable_sampling(&mut self, every: Nanos, capacity: usize) {
-        let mut sampler = TimeSeriesSampler::new(every, capacity)
-            .with_column("client_rx_bytes", SampleKind::Counter)
-            .with_column("guest_rx_bytes", SampleKind::Counter)
-            .with_column("drops", SampleKind::Counter)
-            .with_column("tx_packets", SampleKind::Counter)
-            .with_column("rx_dropped", SampleKind::Counter)
-            .with_column("health", SampleKind::Gauge);
-        for q in 0..self.queue_mode.queues() {
-            sampler = sampler.with_column(&format!("rx_qdepth_q{q}"), SampleKind::Gauge);
-        }
-        self.sampler = Some(sampler);
-        let now = self.queue.now();
-        self.queue.schedule_at(now + every, Event::SampleTick);
+    /// Frames the frontend dropped for ring exhaustion, summed across
+    /// device incarnations.
+    pub fn guest_tx_dropped(&self) -> u64 {
+        self.dp.nf_dropped_base + self.dp.netfront.as_ref().map_or(0, |nf| nf.tx_dropped())
     }
 
-    /// The time series recorded by [`enable_sampling`](Self::enable_sampling).
-    pub fn sampler(&self) -> Option<&TimeSeriesSampler> {
-        self.sampler.as_ref()
-    }
-
-    fn sample_now(&mut self, at: Nanos) {
-        let Some(mut sampler) = self.sampler.take() else {
-            return;
-        };
-        let stats = self.netback_stats();
-        let health = match self.health() {
-            None | Some(HealthState::Healthy) => 0u64,
-            Some(HealthState::Suspect { .. }) => 1,
-            _ => 2,
-        };
-        let mut raw = vec![
-            self.metrics.client_rx_bytes,
-            self.metrics.guest_rx_bytes,
-            self.metrics.drops,
-            stats.tx_packets,
-            stats.rx_dropped,
-            health,
-        ];
-        // Depths come back empty while the backend is down; pad so the
-        // sample width stays fixed.
-        let depths = self.rx_queue_depths();
-        for q in 0..self.queue_mode.queues() {
-            raw.push(depths.get(q as usize).copied().unwrap_or(0) as u64);
-        }
-        sampler.record(at, &raw);
-        self.sampler = Some(sampler);
-    }
-
-    /// Sets the request-latency SLO the watchdog folds into its verdict.
-    pub fn set_slo(&mut self, cfg: SloConfig) {
-        self.slo_cfg = cfg;
-    }
-
-    /// The active failure-detection mode.
-    pub fn detection_mode(&self) -> DetectionMode {
-        self.mode
-    }
-
-    /// The health monitor's current verdict, when the watchdog is on.
-    pub fn health(&self) -> Option<HealthState> {
-        self.monitor.as_ref().map(|m| m.state())
-    }
-
-    /// Whether the backend is currently up and serving.
-    pub fn backend_alive(&self) -> bool {
-        self.netback.is_connected() && !self.hung
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: Nanos) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked");
-            self.events_processed += 1;
-            self.handle(now, ev);
-        }
-    }
-
-    /// Runs until no events remain.
-    pub fn run_to_quiescence(&mut self) {
-        while let Some((now, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            self.handle(now, ev);
-        }
-    }
-
-    // ---- internals -----------------------------------------------------
-
-    /// Schedules delivery of an event-channel notification raised at
-    /// `done`: the one pattern every evtchn kick funnels through.
-    fn sched_irq(&mut self, done: Nanos, n: Option<Notification>) {
-        if let Some(n) = n {
-            let delay = self.hv.irq_delay();
-            self.queue.schedule_at(
-                done + delay,
-                Event::Irq {
-                    dom: n.domain,
-                    port: n.port,
-                },
-            );
-        }
-    }
-
-    fn guest_cpu_run(&mut self, now: Nanos, cost: Nanos) -> Nanos {
-        // Least-loaded dispatch over the DomU's 22 vCPUs.
-        let mut best = self.guest_rr % self.guest_cpus.len();
-        let mut best_free = Nanos::MAX;
-        for (i, c) in self.guest_cpus.iter().enumerate() {
-            if c.free_at() < best_free {
-                best_free = c.free_at();
-                best = i;
-            }
-        }
-        self.guest_rr += 1;
-        let done = self.guest_cpus[best].run(now, cost);
-        self.guest_last_end = self.guest_last_end.max(done);
-        done
-    }
-
-    /// The driver domain dies mid-flight. No teardown code runs in it —
-    /// Xen reclaims its grant mappings, ports and PCI devices, and the
-    /// domain's heartbeat stops with it. Under the oracle, detection is
-    /// immediate; under the watchdog, the frontend keeps talking to the
-    /// dead backend until Dom0's monitor notices the silence.
-    fn kill_driver(&mut self, now: Nanos) {
-        if !self.netback.is_connected() || self.recovering {
-            return; // already down
-        }
-        self.hung = false; // a dead domain no longer livelocks
-        self.recovery.record_crash(now);
-        let dead = self.driver.0;
-        self.hv
-            .trace
-            .emit_with(dead, || EventKind::Milestone { what: "kill" });
-        if let Some(nb) = self.netback.abandon(&mut self.hv) {
-            // World->guest frames parked in the dead backend are gone.
-            self.recovery.dropped_frames += nb.rx_backlog() as u64;
-            self.metrics.drops += nb.rx_backlog() as u64;
-            self.nb_stats_base.merge(&nb.stats());
-            self.netapp.remove_vif(&nb.vif);
-        }
-        self.hv
-            .destroy_domain(self.driver)
-            .expect("driver was alive");
-        if self.mode == DetectionMode::Oracle {
-            self.detect_failure(now);
-        }
-    }
-
-    /// The driver domain livelocks (e.g. an interrupt storm or a spinning
-    /// thread): the domain stays alive — and keeps publishing heartbeats
-    /// — but netback stops consuming requests. Only the watchdog's
-    /// ring-progress detector can catch this; the oracle variant detects
-    /// it immediately, for ablation.
-    fn hang_driver(&mut self, now: Nanos) {
-        if !self.netback.is_connected() || self.hung || self.recovering {
-            return;
-        }
-        self.hung = true;
-        self.recovery.record_hang(now);
-        let dom = self.driver.0;
-        self.hv
-            .trace
-            .emit_with(dom, || EventKind::Milestone { what: "hang" });
-        if self.mode == DetectionMode::Oracle {
-            self.detect_failure(now);
-        }
-    }
-
-    /// Dom0's toolstack learns the backend failed (oracle: at the fault;
-    /// watchdog: when the monitor's verdict turns `Failed`): it destroys
-    /// the domain if it still runs (livelock), walks the xenbus states so
-    /// the frontend sees the device disappear, harvests what the dead
-    /// backend never acknowledged, and schedules the replacement boot.
-    fn detect_failure(&mut self, now: Nanos) {
-        if self.recovering {
-            return; // recovery already underway
-        }
-        self.recovering = true;
-        if let Some(nb) = self.netback.abandon(&mut self.hv) {
-            // Livelocked backend: its parked world->guest frames die with it.
-            self.recovery.dropped_frames += nb.rx_backlog() as u64;
-            self.metrics.drops += nb.rx_backlog() as u64;
-            self.nb_stats_base.merge(&nb.stats());
-            self.netapp.remove_vif(&nb.vif);
-        }
-        if self.hv.domains.alive(self.driver) {
-            let _ = self.hv.destroy_domain(self.driver);
-        }
-        self.hung = false;
-        self.queue_wedged = false;
-        let d0 = DomainId::DOM0;
-        let bs = self.paths.backend_state();
-        let _ = self.hv.switch_state(d0, &bs, XenbusState::Closing);
-        let _ = self.hv.switch_state(d0, &bs, XenbusState::Closed);
-        self.recovery.record_detect(now);
-        self.hv
-            .trace
-            .emit_with(d0.0, || EventKind::Milestone { what: "detect" });
-        // The frontend observes `Closed`, salvages its unacknowledged Tx
-        // frames for replay and retires the device; `Closed` is what lets
-        // the toolstack re-provision the pair back to `Initialising`.
-        if let Some(mut nf) = self.netfront.take() {
-            let unacked = nf.take_unacked(&self.hv);
-            self.recovery.retried_ops += unacked.len() as u64;
-            self.nf_dropped_base += nf.tx_dropped();
-            for f in unacked.into_iter().rev() {
-                self.guest_txq.push_front(f);
-            }
-        }
-        let fs = self.paths.frontend_state();
-        let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closing);
-        let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closed);
-        let boot = self.boot.sample(&mut self.rng);
-        self.queue.schedule_at(now + boot, Event::DriverRestarted);
-    }
-
-    /// The replacement driver domain finished booting: fresh domain id
-    /// (Xen never reuses them), NIC re-assigned, bridge rebuilt, device
-    /// pair re-provisioned, and both ends reconnected through the same
-    /// lifecycle slot. Everything queued during the outage drains.
-    fn driver_restarted(&mut self, now: Nanos) {
-        let (name, mem) = match self.os {
-            BackendOs::Kite => ("netbackend", 1024),
-            BackendOs::Linux => ("ubuntu-dd", 2048),
-        };
-        let nqueues = self.queue_mode.queues();
-        let driver = self
-            .hv
-            .create_domain(name, DomainKind::Driver, mem, nqueues);
-        self.driver = driver;
-        self.hv
-            .trace
-            .emit_with(driver.0, || EventKind::Milestone { what: "reboot" });
-        self.driver_cpus = CpuPool::new(nqueues as usize);
-        self.hv
-            .pci
-            .assign(self.nic_bdf, driver)
-            .expect("nic back in pool");
-        self.netapp = NetworkApp::start("ixg0", self.phys_mac, addrs::GATEWAY, addrs::NETMASK);
-        self.if_port = self.netapp.port_of("ixg0").expect("attached at start");
-        self.mgr = BackendManager::new(driver, DeviceKind::Vif);
-        self.mgr.start(&mut self.hv).expect("watch");
-        self.paths = DevicePaths::new(self.guest, driver, DeviceKind::Vif, 0);
-        provision_device(&mut self.hv, &self.paths).expect("re-provision");
-        if nqueues > 1 {
-            let be = self.paths.backend();
-            self.hv
-                .store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{MQ_MAX_QUEUES_KEY}"),
-                    &nqueues.to_string(),
-                )
-                .expect("re-advertise queues");
-        }
-        if self.gso_mode == GsoMode::On {
-            // The replacement backend re-advertises offloads; the
-            // frontend renegotiates from scratch, exactly as at first
-            // connect — offloads survive crash recovery.
-            let be = self.paths.backend();
-            self.hv
-                .store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{FEATURE_GSO_KEY}"),
-                    "1",
-                )
-                .expect("re-advertise gso");
-        }
-        self.mgr.drain_events(&mut self.hv).expect("scan");
-        let nf = Netfront::connect_with_queues(&mut self.hv, &self.paths, self.guest_mac, nqueues)
-            .expect("netfront");
-        self.netfront = Some(nf);
-        let ready = self.mgr.drain_events(&mut self.hv).expect("events");
-        assert_eq!(ready.len(), 1, "frontend rediscovered after restart");
-        self.netback
-            .retarget(&mut self.hv, ready[0].clone())
-            .expect("slot empty");
-        self.netback.connect(&mut self.hv).expect("reconnect");
-        if let Some(nb) = self.netback.device_mut() {
-            nb.set_copy_mode(self.copy_mode);
-            self.vif_port = self.netapp.add_vif(&nb.vif, self.guest_mac);
-        }
-        self.hv
-            .switch_state(
-                self.guest,
-                &self.paths.frontend_state(),
-                XenbusState::Connected,
-            )
-            .expect("frontend reconnect");
-        self.recovery.reconnects += 1;
-        self.hv
-            .trace
-            .emit_with(driver.0, || EventKind::Milestone { what: "reconnect" });
-        if let Some(t0) = self.recovery.last_crash_at {
-            self.recovery.downtime += now - t0;
-        }
-        self.recovering = false;
-        if self.mode == DetectionMode::Watchdog {
-            // The replacement domain's heartbeat task beats as soon as it
-            // boots, and the monitor re-aims at the new domain id.
-            let mut hb = HeartbeatPublisher::new(driver);
-            let _ = hb.beat(&mut self.hv);
-            self.heartbeat = Some(hb);
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.retarget(&mut self.hv, driver, now);
-            }
-        }
-        // Replay harvested frames plus everything queued while down.
-        self.drain_guest_txq(now);
-    }
+    // ---- data path ----------------------------------------------------
 
     fn mac_of(&self, ip: Ipv4Addr) -> MacAddr {
         if ip == addrs::GUEST {
-            self.guest_mac
+            self.dp.guest_mac
         } else if ip == addrs::CLIENT {
-            self.client_mac
+            self.dp.client_mac
         } else {
             // Gateway / unknown: the physical IF answers.
-            self.netapp
+            self.dp
+                .netapp
                 .ifs
-                .get("ixg0")
+                .get(PHYS_IF)
                 .map(|i| i.mac)
                 .unwrap_or(MacAddr::BROADCAST)
         }
@@ -1034,7 +495,7 @@ impl NetSystem {
     /// honest TSO cost: a super-frame is segmented to MTU with
     /// replicated headers and per-segment framing.
     fn wire_cost(&self, frame_len: usize) -> (u64, u32) {
-        match self.gso_mode {
+        match self.dp.gso_mode {
             GsoMode::Legacy => (frame_len as u64 + 24, 1),
             GsoMode::Off | GsoMode::On => tso_wire_cost(frame_len),
         }
@@ -1048,28 +509,29 @@ impl NetSystem {
     fn client_transmit(&mut self, now: Nanos, frame: Vec<u8>) {
         let (wire_len, _segs) = self.wire_cost(frame.len());
         let sent = self
+            .dp
             .client_link
             .transmit_then(&mut self.queue, now, wire_len, |_| {
-                Event::WireToServer(frame)
+                Event::Data(NetEvent::WireToServer(frame))
             });
         if sent == TxOutcome::Dropped {
-            self.metrics.drops += 1;
+            self.dp.metrics.drops += 1;
         }
     }
 
     /// Queues a frame in the guest stack and pushes as much as fits into
     /// the Tx ring, notifying the backend when the protocol asks.
     fn guest_send_frame(&mut self, now: Nanos, frame: Vec<u8>) {
-        if self.guest_txq.len() >= GUEST_TXQ_CAP {
-            self.metrics.drops += 1;
+        if self.dp.guest_txq.len() >= GUEST_TXQ_CAP {
+            self.dp.metrics.drops += 1;
             return;
         }
-        self.guest_txq.push_back(frame);
+        self.dp.guest_txq.push_back(frame);
         self.drain_guest_txq(now);
     }
 
     fn drain_guest_txq(&mut self, now: Nanos) {
-        if self.netfront.is_none() {
+        if self.dp.netfront.is_none() {
             return; // backend down: frames wait for the replacement device
         }
         // `now` includes the guest's idle-wake latency, which the
@@ -1078,7 +540,7 @@ impl NetSystem {
         self.hv.req.set_now(now);
         let mut notify: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         let mut cost = Nanos::ZERO;
-        while let Some(frame) = self.guest_txq.front() {
+        while let Some(frame) = self.dp.guest_txq.front() {
             let req = if self.hv.req.is_enabled() {
                 icmp_echo_seq(frame)
                     .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
@@ -1086,13 +548,14 @@ impl NetSystem {
                 None
             };
             let res = self
+                .dp
                 .netfront
                 .as_mut()
                 .expect("checked")
                 .send(&mut self.hv, frame, req);
             match res {
                 Ok((q, op)) => {
-                    self.guest_txq.pop_front();
+                    self.dp.guest_txq.pop_front();
                     if op.notify {
                         notify.insert(q);
                     }
@@ -1105,7 +568,7 @@ impl NetSystem {
             self.guest_cpu_run(now, cost);
         }
         for q in notify {
-            let port = self.netfront.as_ref().expect("checked").port_of(q);
+            let port = self.dp.netfront.as_ref().expect("checked").port_of(q);
             // The channel dies with the backend domain: a notify raised
             // during an undetected-outage window is simply lost.
             if let Ok((n, send_cost)) = self.hv.evtchn_send(self.guest, port) {
@@ -1119,14 +582,14 @@ impl NetSystem {
     /// outage (or on queue overflow) the frame is dropped, as real
     /// traffic is while a driver domain reboots.
     fn deliver_to_guest(&mut self, frame: Vec<u8>) {
-        match self.netback.device_mut() {
+        match self.backend.device_mut() {
             Some(nb) => {
                 if !nb.enqueue_to_guest(frame) {
-                    self.metrics.drops += 1;
+                    self.dp.metrics.drops += 1;
                 }
             }
             None => {
-                self.metrics.drops += 1;
+                self.dp.metrics.drops += 1;
                 self.recovery.dropped_frames += 1;
             }
         }
@@ -1139,15 +602,15 @@ impl NetSystem {
     /// bridge; in NAT mode the app routes at L3, rewriting addresses
     /// (with checksums re-encoded) in each direction.
     fn bridge_forward(&mut self, now: Nanos, ingress: BridgePort, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        if self.netapp.mode == kite_core::netapp::LinkMode::Nat {
-            if ingress == self.vif_port {
+        if self.dp.netapp.mode == kite_core::netapp::LinkMode::Nat {
+            if ingress == self.dp.vif_port {
                 // Guest → world: SNAT to the gateway; non-NATable frames
                 // (ICMP in this model) pass through unchanged.
-                let out = self.netapp.nat_outbound(&frame).unwrap_or(frame);
+                let out = self.dp.netapp.nat_outbound(&frame).unwrap_or(frame);
                 return vec![out];
             }
             // World → gateway: reverse-translate or drop (unsolicited).
-            match self.netapp.nat_inbound(&frame, self.guest_mac) {
+            match self.dp.netapp.nat_inbound(&frame, self.dp.guest_mac) {
                 Some(inframe) => {
                     self.deliver_to_guest(inframe);
                 }
@@ -1163,7 +626,7 @@ impl NetSystem {
                     if !is_udp {
                         self.deliver_to_guest(frame);
                     } else {
-                        self.metrics.drops += 1;
+                        self.dp.metrics.drops += 1;
                     }
                 }
             }
@@ -1172,7 +635,7 @@ impl NetSystem {
         let Some(eth) = EthernetFrame::decode(&frame) else {
             return Vec::new();
         };
-        let decision = self.netapp.bridge.input(ingress, eth.src, eth.dst, now);
+        let decision = self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now);
         let mut to_wire = Vec::new();
         let ports: Vec<BridgePort> = match decision {
             Forward::Unicast(p) => vec![p],
@@ -1180,9 +643,9 @@ impl NetSystem {
             Forward::Drop => Vec::new(),
         };
         for p in ports {
-            if p == self.if_port {
+            if p == self.dp.if_port {
                 to_wire.push(frame.clone());
-            } else if p == self.vif_port {
+            } else if p == self.dp.vif_port {
                 self.deliver_to_guest(frame.clone());
             }
         }
@@ -1197,11 +660,11 @@ impl NetSystem {
     fn nic_transmit(&mut self, t: Nanos, frames: Vec<Vec<u8>>) {
         for frame in frames {
             let (wire_len, segs) = self.wire_cost(frame.len());
-            match self.nic.transmit_segs(t, wire_len, segs) {
+            match self.dp.nic.transmit_segs(t, wire_len, segs) {
                 TxOutcome::Sent { arrives, .. } => {
-                    self.queue.schedule_at(arrives, Event::WireToClient(frame));
+                    self.schedule(arrives, NetEvent::WireToClient(frame));
                 }
-                TxOutcome::Dropped => self.metrics.drops += 1,
+                TxOutcome::Dropped => self.dp.metrics.drops += 1,
             }
         }
     }
@@ -1210,35 +673,31 @@ impl NetSystem {
     /// starting at `now`; schedules all effects.
     ///
     /// Each queue's thread pair is pinned to its own driver vCPU, so
-    /// with `QueueMode::Multi(n)` on an n-vCPU driver domain the queues
+    /// with `n` queues on an n-vCPU driver domain the queues
     /// drain concurrently: wall-clock elapsed is the slowest queue, not
     /// the sum of all of them.
     fn run_netback(&mut self, now: Nanos) {
-        if !self.netback.is_connected() || self.hung {
+        if !self.backend.is_connected() || self.hung {
             return; // driver domain down (or livelocked: threads never run)
         }
-        let nqueues = self.netback.device().expect("checked").queue_count();
+        let nqueues = self.backend.device().expect("checked").queue_count();
         for q in 0..nqueues {
             // Pusher: guest -> bridge/world.
             let mut guest_frames = Vec::new();
             loop {
-                let nb = self.netback.device_mut().expect("checked");
+                let nb = self.backend.device_mut().expect("checked");
                 let batch = nb.pusher_run(&mut self.hv, q, 128).expect("pusher");
                 let evtchn = nb.port_of(q);
-                let had = !batch.frames.is_empty();
                 guest_frames.extend(batch.frames);
                 let done = self.driver_cpus.run_on(
                     q,
                     now,
-                    batch.cost + self.profile.wakeup_latency.min(Nanos::from_nanos(200)),
+                    batch.cost + self.dp.profile.wakeup_latency.min(Nanos::from_nanos(200)),
                 );
                 if batch.notify {
                     let (n, c) = self.hv.evtchn_send(self.driver, evtchn).expect("channel");
                     let done = self.driver_cpus.run_on(q, done, c);
                     self.sched_irq(done, n);
-                }
-                if !batch.more && !had {
-                    break;
                 }
                 if !batch.more {
                     break;
@@ -1248,7 +707,7 @@ impl NetSystem {
             // bridge, then onto the wire once this queue's vCPU is free.
             let mut to_wire = Vec::new();
             for f in guest_frames {
-                to_wire.extend(self.bridge_forward(now, self.vif_port, f));
+                to_wire.extend(self.bridge_forward(now, self.dp.vif_port, f));
             }
             let t = self.driver_cpus.free_at(q).max(now);
             if self.hv.req.is_enabled() {
@@ -1272,7 +731,7 @@ impl NetSystem {
         // soft_start: queued world -> guest frames into the Rx rings.
         for q in 0..nqueues {
             loop {
-                let nb = self.netback.device_mut().expect("checked");
+                let nb = self.backend.device_mut().expect("checked");
                 let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
                 let evtchn = nb.port_of(q);
                 let done = self.driver_cpus.run_on(q, now, batch.cost);
@@ -1293,13 +752,7 @@ impl NetSystem {
 
     /// The guest endpoint's host stack: handles one delivered frame.
     fn guest_stack_rx(&mut self, now: Nanos, frame: Vec<u8>) {
-        let Some(eth) = EthernetFrame::decode(&frame) else {
-            return;
-        };
-        if eth.ethertype != EtherType::Ipv4 {
-            return;
-        }
-        let Some(ip) = Ipv4Packet::decode(&eth.payload) else {
+        let Some((eth, ip)) = decode_ipv4(&frame) else {
             return;
         };
         match ip.proto {
@@ -1316,7 +769,7 @@ impl NetSystem {
                             Ipv4Packet::new(addrs::GUEST, ip.src, IpProto::Icmp, reply.encode());
                         let rframe = EthernetFrame::new(
                             eth.src,
-                            self.guest_mac,
+                            self.dp.guest_mac,
                             EtherType::Ipv4,
                             rip.encode(),
                         );
@@ -1326,31 +779,7 @@ impl NetSystem {
                     }
                 }
             }
-            IpProto::Udp => {
-                let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
-                    self.metrics.drops += 1;
-                    return;
-                };
-                self.metrics.guest_rx_bytes += udp.payload.len() as u64;
-                self.metrics.guest_rx_msgs += 1;
-                if self.recovery.record_first_byte(now) {
-                    let guest = self.guest.0;
-                    self.hv
-                        .trace
-                        .emit_with(guest, || EventKind::Milestone { what: "first_byte" });
-                }
-                let msg = UdpMsg {
-                    src_ip: ip.src,
-                    src_port: udp.src_port,
-                    dst_port: udp.dst_port,
-                    payload: udp.payload,
-                };
-                if let Some(mut app) = self.guest_app.take() {
-                    let replies = app(now, &msg);
-                    self.guest_app = Some(app);
-                    self.emit_replies(now, Side::Guest, replies);
-                }
-            }
+            IpProto::Udp => self.app_rx(now, Side::Guest, &ip),
             _ => {}
         }
     }
@@ -1361,43 +790,57 @@ impl NetSystem {
                 Side::Guest => self.guest_cpu_run(now, r.cost),
                 Side::Client => now + r.cost,
             };
-            let unit = self.max_tx_unit;
-            let chunks: Vec<Vec<u8>> = if r.payload.len() <= unit {
-                vec![r.payload]
-            } else {
-                r.payload.chunks(unit).map(|c| c.to_vec()).collect()
-            };
-            for chunk in chunks {
-                self.queue.schedule_at(
-                    ready,
-                    Event::AppSend {
-                        side,
-                        dst_ip: r.dst_ip,
-                        dst_port: r.dst_port,
-                        src_port: r.src_port,
-                        payload: chunk,
-                    },
-                );
-            }
+            self.send_udp_at(ready, side, r.dst_ip, r.dst_port, r.src_port, r.payload);
+        }
+    }
+
+    /// Hands one UDP datagram to `side`'s application (dropping it when
+    /// the checksum fails) and sends the application's replies.
+    fn app_rx(&mut self, now: Nanos, side: Side, ip: &Ipv4Packet) {
+        let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
+            self.dp.metrics.drops += 1;
+            return;
+        };
+        let m = &mut self.dp.metrics;
+        let (bytes, msgs) = match side {
+            Side::Guest => (&mut m.guest_rx_bytes, &mut m.guest_rx_msgs),
+            Side::Client => (&mut m.client_rx_bytes, &mut m.client_rx_msgs),
+        };
+        *bytes += udp.payload.len() as u64;
+        *msgs += 1;
+        if self.recovery.record_first_byte(now) {
+            let guest = self.guest.0;
+            self.hv
+                .trace
+                .emit_with(guest, || EventKind::Milestone { what: "first_byte" });
+        }
+        let msg = UdpMsg {
+            src_ip: ip.src,
+            src_port: udp.src_port,
+            dst_port: udp.dst_port,
+            payload: udp.payload,
+        };
+        let slot = match side {
+            Side::Guest => &mut self.dp.guest_app,
+            Side::Client => &mut self.dp.client_app,
+        };
+        if let Some(mut app) = slot.take() {
+            let replies = app(now, &msg);
+            *slot = Some(app);
+            self.emit_replies(now, side, replies);
         }
     }
 
     /// The client machine's host stack.
     fn client_stack_rx(&mut self, now: Nanos, frame: Vec<u8>) {
-        let Some(eth) = EthernetFrame::decode(&frame) else {
-            return;
-        };
-        if eth.ethertype != EtherType::Ipv4 {
-            return;
-        }
-        let Some(ip) = Ipv4Packet::decode(&eth.payload) else {
+        let Some((_, ip)) = decode_ipv4(&frame) else {
             return;
         };
         match ip.proto {
             IpProto::Icmp => {
                 if let Some(IcmpMessage::EchoReply { seq, .. }) = IcmpMessage::decode(&ip.payload) {
-                    if let Some(t0) = self.icmp_sent.remove(&seq) {
-                        self.metrics.ping_rtts.push_nanos(now - t0);
+                    if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
+                        self.dp.metrics.ping_rtts.push_nanos(now - t0);
                         self.latency_hist.record(now - t0);
                     }
                     if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
@@ -1405,45 +848,15 @@ impl NetSystem {
                     }
                 }
             }
-            IpProto::Udp => {
-                let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
-                    self.metrics.drops += 1;
-                    return;
-                };
-                self.metrics.client_rx_bytes += udp.payload.len() as u64;
-                self.metrics.client_rx_msgs += 1;
-                if self.recovery.record_first_byte(now) {
-                    let guest = self.guest.0;
-                    self.hv
-                        .trace
-                        .emit_with(guest, || EventKind::Milestone { what: "first_byte" });
-                }
-                let msg = UdpMsg {
-                    src_ip: ip.src,
-                    src_port: udp.src_port,
-                    dst_port: udp.dst_port,
-                    payload: udp.payload,
-                };
-                if let Some(mut app) = self.client_app.take() {
-                    let replies = app(now, &msg);
-                    self.client_app = Some(app);
-                    self.emit_client_replies(now, replies);
-                }
-            }
+            IpProto::Udp => self.app_rx(now, Side::Client, &ip),
             _ => {}
         }
     }
 
-    fn emit_client_replies(&mut self, now: Nanos, replies: Vec<Reply>) {
-        self.emit_replies(now, Side::Client, replies);
-    }
-
-    fn handle(&mut self, now: Nanos, ev: Event) {
-        let _prof = kite_prof::span(phase_of(&ev));
-        self.hv.trace.set_now(now);
-        self.hv.req.set_now(now);
+    /// Dispatches one network data-path event.
+    fn handle_data(&mut self, now: Nanos, ev: NetEvent) {
         match ev {
-            Event::AppSend {
+            NetEvent::AppSend {
                 side,
                 dst_ip,
                 dst_port,
@@ -1453,7 +866,7 @@ impl NetSystem {
                 Side::Client => {
                     let frame = self.build_udp_frame(
                         addrs::CLIENT,
-                        self.client_mac,
+                        self.dp.client_mac,
                         dst_ip,
                         dst_port,
                         src_port,
@@ -1464,7 +877,7 @@ impl NetSystem {
                 Side::Guest => {
                     let frame = self.build_udp_frame(
                         addrs::GUEST,
-                        self.guest_mac,
+                        self.dp.guest_mac,
                         dst_ip,
                         dst_port,
                         src_port,
@@ -1473,383 +886,247 @@ impl NetSystem {
                     self.guest_send_frame(now, frame);
                 }
             },
-            Event::ClientTxFrame(frame) => self.client_transmit(now, frame),
-            Event::WireToServer(frame) => match self.nic.rx_enqueue(now, frame) {
+            NetEvent::ClientTxFrame(frame) => self.client_transmit(now, frame),
+            NetEvent::WireToServer(frame) => match self.dp.nic.rx_enqueue(now, frame) {
                 RxIrq::FireAt(t) => {
-                    self.queue.schedule_at(t, Event::NicIrq);
+                    self.schedule(t, NetEvent::NicIrq);
                 }
                 RxIrq::AlreadyPending => {}
-                RxIrq::Dropped => self.metrics.drops += 1,
+                RxIrq::Dropped => self.dp.metrics.drops += 1,
             },
-            Event::NicIrq => {
-                if self.hung {
-                    // The livelocked driver never services the interrupt;
-                    // the NIC's receive ring overflows and the frames are
-                    // lost on the floor, exactly like hardware would.
-                    let lost = self.nic.drain_rx(now, usize::MAX).len() as u64;
-                    self.metrics.drops += lost;
-                    self.recovery.dropped_frames += lost;
-                    if let Some(fire) = self.nic.rearm_irq(now) {
-                        self.queue.schedule_at(fire, Event::NicIrq);
-                    }
-                    return;
-                }
-                // NIC interrupt in the driver domain: short handler, then
-                // the stack pushes frames through the bridge toward VIFs.
-                // The physical NIC's irq is pinned to vCPU 0.
-                let idle = now.saturating_sub(self.driver_cpus.free_at(0));
-                let wake = self.profile.idle_wake(idle);
-                let handler_done =
-                    self.driver_cpus
-                        .run_on(0, now, wake + self.profile.irq_overhead);
-                let frames = self.nic.drain_rx(now, 64);
-                let mut per_frame = Nanos::ZERO;
-                for f in &frames {
-                    per_frame += self.profile.per_packet + Nanos(f.len() as u64 / 16);
-                }
-                let t = self.driver_cpus.run_on(0, handler_done, per_frame);
-                let mut to_wire = Vec::new();
-                for f in frames {
-                    if self.hv.req.is_enabled() {
-                        if let Some(r) = icmp_echo_seq(&f)
-                            .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
-                        {
-                            let dom = self.driver.0;
-                            self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
-                        }
-                    }
-                    to_wire.extend(self.bridge_forward(now, self.if_port, f));
-                }
-                self.nic_transmit(t, to_wire);
-                // The VIF callback woke soft_start (and pusher work may be
-                // pending): run the netback threads.
-                self.run_netback(t);
-                if let Some(fire) = self.nic.rearm_irq(now) {
-                    self.queue.schedule_at(fire, Event::NicIrq);
+            NetEvent::NicIrq => self.nic_irq(now),
+            NetEvent::WireToClient(frame) => self.client_stack_rx(now, frame),
+        }
+    }
+
+    /// The server NIC's receive interrupt in the driver domain.
+    fn nic_irq(&mut self, now: Nanos) {
+        if self.hung {
+            // The livelocked driver never services the interrupt;
+            // the NIC's receive ring overflows and the frames are
+            // lost on the floor, exactly like hardware would.
+            let lost = self.dp.nic.drain_rx(now, usize::MAX).len() as u64;
+            self.dp.metrics.drops += lost;
+            self.recovery.dropped_frames += lost;
+            if let Some(fire) = self.dp.nic.rearm_irq(now) {
+                self.schedule(fire, NetEvent::NicIrq);
+            }
+            return;
+        }
+        // NIC interrupt in the driver domain: short handler, then
+        // the stack pushes frames through the bridge toward VIFs.
+        // The physical NIC's irq is pinned to vCPU 0.
+        let idle = now.saturating_sub(self.driver_cpus.free_at(0));
+        let wake = self.dp.profile.idle_wake(idle);
+        let handler_done = self
+            .driver_cpus
+            .run_on(0, now, wake + self.dp.profile.irq_overhead);
+        let frames = self.dp.nic.drain_rx(now, 64);
+        let mut per_frame = Nanos::ZERO;
+        for f in &frames {
+            per_frame += self.dp.profile.per_packet + Nanos(f.len() as u64 / 16);
+        }
+        let t = self.driver_cpus.run_on(0, handler_done, per_frame);
+        let mut to_wire = Vec::new();
+        for f in frames {
+            if self.hv.req.is_enabled() {
+                if let Some(r) = icmp_echo_seq(&f)
+                    .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
+                {
+                    let dom = self.driver.0;
+                    self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
                 }
             }
-            Event::Irq { dom, port } => {
-                let _ = self.hv.evtchn.clear_pending(dom, port);
-                if dom == self.driver {
-                    if !self.netback.is_connected() || self.hung {
-                        return; // stale interrupt, or a livelocked handler
-                    }
-                    // Netback's event channel: the handler runs on the
-                    // vCPU the owning queue is pinned to, then wakes the
-                    // threads.
-                    let nb = self.netback.device().expect("checked");
-                    let q = (0..nb.queue_count())
-                        .find(|&q| nb.port_of(q) == port)
-                        .unwrap_or(0);
-                    let cost = nb.irq_handler_cost();
-                    let idle = now.saturating_sub(self.driver_cpus.free_at(q));
-                    let wake = self.profile.idle_wake(idle);
-                    let t = self.driver_cpus.run_on(q, now, wake + cost);
-                    self.run_netback(t);
-                } else if dom == self.guest {
-                    if self.netfront.is_none() {
-                        return; // stale interrupt for a retired device
-                    }
-                    let earliest = self.guest_last_end;
-                    let wake = guest_idle_wake(now.saturating_sub(earliest));
-                    // The guest vCPU wakes from halt first; everything the
-                    // interrupt triggers happens after that latency.
-                    let t = now + wake;
-                    let (op, notifyq) = self
-                        .netfront
-                        .as_mut()
-                        .expect("checked")
-                        .on_irq(&mut self.hv)
-                        .expect("netfront irq");
-                    let mut done =
-                        self.guest_cpu_run(now, wake + op.cost + self.profile.irq_overhead);
-                    for q in notifyq {
-                        let evtchn = self.netfront.as_ref().expect("checked").port_of(q);
-                        // Tolerate a torn-down channel: the backend may
-                        // have died without the frontend knowing yet.
-                        if let Ok((n, c)) = self.hv.evtchn_send(self.guest, evtchn) {
-                            done = self.guest_cpu_run(done, c);
-                            self.sched_irq(done, n);
-                        }
-                    }
-                    while let Some(frame) = self.netfront.as_mut().expect("checked").recv() {
-                        self.guest_stack_rx(t, frame);
-                    }
-                    // Tx completions may have freed ring slots.
-                    self.drain_guest_txq(t);
-                }
+            to_wire.extend(self.bridge_forward(now, self.dp.if_port, f));
+        }
+        self.nic_transmit(t, to_wire);
+        // The VIF callback woke soft_start (and pusher work may be
+        // pending): run the netback threads.
+        self.run_netback(t);
+        if let Some(fire) = self.dp.nic.rearm_irq(now) {
+            self.schedule(fire, NetEvent::NicIrq);
+        }
+    }
+
+    /// Netfront's event channel fired in the guest.
+    fn netfront_irq(&mut self, now: Nanos) {
+        if self.dp.netfront.is_none() {
+            return; // stale interrupt for a retired device
+        }
+        let earliest = self.guest_last_end;
+        let wake = guest_idle_wake(now.saturating_sub(earliest));
+        // The guest vCPU wakes from halt first; everything the
+        // interrupt triggers happens after that latency.
+        let t = now + wake;
+        let (op, notifyq) = self
+            .dp
+            .netfront
+            .as_mut()
+            .expect("checked")
+            .on_irq(&mut self.hv)
+            .expect("netfront irq");
+        let mut done = self.guest_cpu_run(now, wake + op.cost + self.dp.profile.irq_overhead);
+        for q in notifyq {
+            let evtchn = self.dp.netfront.as_ref().expect("checked").port_of(q);
+            // Tolerate a torn-down channel: the backend may
+            // have died without the frontend knowing yet.
+            if let Ok((n, c)) = self.hv.evtchn_send(self.guest, evtchn) {
+                done = self.guest_cpu_run(done, c);
+                self.sched_irq(done, n);
             }
-            Event::WireToClient(frame) => self.client_stack_rx(now, frame),
-            Event::DriverCrash => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.kill_driver(now);
+        }
+        while let Some(frame) = self.dp.netfront.as_mut().expect("checked").recv() {
+            self.guest_stack_rx(t, frame);
+        }
+        // Tx completions may have freed ring slots.
+        self.drain_guest_txq(t);
+    }
+}
+
+impl DataPath for NetPath {
+    type Backend = NetbackInstance;
+    type Event = NetEvent;
+    const KITE_DOMAIN: &'static str = "netbackend";
+
+    fn pci_device() -> PciDevice {
+        PciDevice {
+            bdf: "03:00.0".parse().expect("static BDF"),
+            class: PciClass::Network,
+            name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
+        }
+    }
+
+    fn phase(ev: &NetEvent) -> kite_prof::Phase {
+        use kite_prof::Phase;
+        match ev {
+            NetEvent::AppSend { .. } => Phase::DispatchAppSend,
+            NetEvent::WireToServer(_) | NetEvent::WireToClient(_) | NetEvent::ClientTxFrame(_) => {
+                Phase::DispatchWire
             }
-            Event::DriverHang => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.hang_driver(now);
-            }
-            Event::QueueWedge(q) => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                if let Some(nb) = self.netback.device_mut() {
-                    if q < nb.queue_count() {
-                        nb.set_queue_wedged(q, true);
-                        self.queue_wedged = true;
-                        self.hv
-                            .trace
-                            .emit_with(self.driver.0, || EventKind::Milestone { what: "wedge" });
-                    }
-                }
-            }
-            Event::DriverRestarted => self.driver_restarted(now),
-            Event::BeatTick => {
-                // The heartbeat task runs inside the driver domain, so it
-                // survives a livelock — but dies with the domain.
-                if let Some(hb) = self.heartbeat.as_mut() {
-                    let _ = hb.beat(&mut self.hv);
-                }
-                if self.watch_live() {
-                    if let Some(mon) = self.monitor.as_ref() {
-                        self.queue
-                            .schedule_at(now + mon.config().heartbeat_interval, Event::BeatTick);
-                    }
-                }
-            }
-            Event::ProbeTick => {
-                let Some(mut mon) = self.monitor.take() else {
-                    return;
-                };
-                let samples: Vec<ProgressSample> = self
-                    .netback
-                    .device()
-                    .map(|nb| {
-                        nb.queue_progress(&self.hv)
-                            .into_iter()
-                            .map(|(consumed, pending)| ProgressSample { consumed, pending })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let slo_report = slo::evaluate(&self.latency_hist, &self.slo_cfg);
-                let slo_ok = !slo_report.breached;
-                if slo_report.breached {
-                    // Name the stage dominating the tail while it breaches
-                    // (needs request tracing; None otherwise).
-                    self.last_breach = slo::attribute(&self.hv.req);
-                }
-                let verdict = mon.probe_queues(&mut self.hv, now, &samples, slo_ok);
-                let interval = mon.config().probe_interval;
-                self.monitor = Some(mon);
-                if verdict.is_failed() {
-                    self.detect_failure(now);
-                }
-                if self.watch_live() {
-                    self.queue.schedule_at(now + interval, Event::ProbeTick);
-                }
-            }
-            Event::SampleTick => {
-                self.sample_now(now);
-                // Re-arm only while the workload is still producing
-                // events, so quiescence is reachable.
-                if let Some(every) = self.sampler.as_ref().map(|s| s.interval()) {
-                    if !self.queue.is_empty() {
-                        self.queue.schedule_at(now + every, Event::SampleTick);
-                    }
-                }
+            NetEvent::NicIrq => Phase::DispatchNicIrq,
+        }
+    }
+
+    /// A fresh bridge with only the physical interface attached.
+    fn start_apps(sys: &mut NetSystem) {
+        sys.dp.netapp = start_netapp(sys.dp.phys_mac);
+        sys.dp.if_port = sys.dp.netapp.port_of(PHYS_IF).expect("attached at start");
+    }
+
+    fn advertise(sys: &mut NetSystem) {
+        if sys.dp.gso_mode == GsoMode::On {
+            // The toolstack advertises segmentation offload under the
+            // backend path; the frontend echoes it when willing. A
+            // replacement backend re-advertises and the frontend
+            // renegotiates from scratch, so offloads survive recovery.
+            let be = sys.paths.backend();
+            sys.hv
+                .store
+                .write(
+                    DomainId::DOM0,
+                    None,
+                    &format!("{be}/{FEATURE_GSO_KEY}"),
+                    "1",
+                )
+                .expect("advertise gso");
+        }
+    }
+
+    fn connect_frontend(sys: &mut NetSystem) {
+        let nf =
+            Netfront::connect_with_queues(&mut sys.hv, &sys.paths, sys.dp.guest_mac, sys.nqueues)
+                .expect("netfront");
+        sys.dp.netfront = Some(nf);
+    }
+
+    fn backend_connected(sys: &mut NetSystem) {
+        let nb = sys.backend.device().expect("connected");
+        sys.dp.vif_port = sys.dp.netapp.add_vif(&nb.vif, sys.dp.guest_mac);
+    }
+
+    /// Replays harvested frames plus everything queued while down.
+    fn resume(sys: &mut NetSystem, now: Nanos) {
+        sys.drain_guest_txq(now);
+    }
+
+    /// World->guest frames parked in the dead backend are gone.
+    fn backend_lost(sys: &mut NetSystem, nb: &NetbackInstance) {
+        sys.recovery.dropped_frames += nb.rx_backlog() as u64;
+        sys.dp.metrics.drops += nb.rx_backlog() as u64;
+        sys.dp.netapp.remove_vif(&nb.vif);
+    }
+
+    /// Salvages netfront's unacknowledged Tx frames for replay.
+    fn retire_frontend(sys: &mut NetSystem) {
+        if let Some(mut nf) = sys.dp.netfront.take() {
+            let unacked = nf.take_unacked(&sys.hv);
+            sys.recovery.retried_ops += unacked.len() as u64;
+            sys.dp.nf_dropped_base += nf.tx_dropped();
+            for f in unacked.into_iter().rev() {
+                sys.dp.guest_txq.push_front(f);
             }
         }
     }
 
-    /// Whether the watchdog's ticks should keep rescheduling themselves.
-    ///
-    /// A real watchdog polls forever; here the ticks stay armed only
-    /// while a fault can still need detecting (one is scheduled, the
-    /// backend is hung/down, or recovery is in flight) so that
-    /// [`NetSystem::run_to_quiescence`] terminates once the system
-    /// settles into a healthy steady state.
-    fn watch_live(&self) -> bool {
-        self.mode == DetectionMode::Watchdog
-            && (self.pending_faults > 0
-                || self.hung
-                || self.queue_wedged
-                || self.recovering
-                || !self.netback.is_connected())
+    fn handle(sys: &mut NetSystem, now: Nanos, ev: NetEvent) {
+        sys.handle_data(now, ev);
     }
 
-    // ---- measurement accessors ------------------------------------------
-
-    /// Events processed (diagnostics).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
+    fn guest_irq(sys: &mut NetSystem, now: Nanos) {
+        sys.netfront_irq(now);
     }
 
-    /// The scheduler backend this system's event loop runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
+    fn run_backend(sys: &mut NetSystem, now: Nanos) {
+        sys.run_netback(now);
     }
 
-    /// Turns on structured tracing with an event-ring capacity of `cap`.
-    pub fn enable_tracing(&mut self, cap: usize) {
-        self.hv.trace.enable(cap);
+    fn driver_wake(sys: &NetSystem, idle: Nanos) -> Nanos {
+        sys.dp.profile.idle_wake(idle)
     }
 
-    /// Turns on per-request stage tracing: every `sample_every`-th
-    /// injected request is tagged with a [`kite_xen::ReqId`] and followed
-    /// through the stack, feeding per-stage latency histograms, the
-    /// `repro lat` waterfalls and Perfetto flow arrows.
-    pub fn enable_req_tracing(&mut self, sample_every: u64) {
-        self.hv.req.enable(sample_every, DEFAULT_REQ_CAPACITY);
-    }
-
-    /// Stage attribution of the most recent SLO breach the watchdog saw,
-    /// when request tracing was on to supply per-stage histograms.
-    pub fn last_breach(&self) -> Option<&BreachAttribution> {
-        self.last_breach.as_ref()
-    }
-
-    /// The histogram of client-observed echo RTTs (the same samples the
-    /// SLO monitor evaluates; mirrors `metrics.ping_rtts`).
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_hist
-    }
-
-    /// Collects the scenario's measurement taps, lifetime netback stats
-    /// and recovery accounting into one named snapshot.
-    pub fn metrics_snapshot(&self, scenario: impl Into<String>) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new(scenario);
-        snap.push_int("client_rx_bytes", "bytes", self.metrics.client_rx_bytes);
-        snap.push_int("client_rx_msgs", "count", self.metrics.client_rx_msgs);
-        snap.push_int("guest_rx_bytes", "bytes", self.metrics.guest_rx_bytes);
-        snap.push_int("guest_rx_msgs", "count", self.metrics.guest_rx_msgs);
-        snap.push_int("drops", "count", self.metrics.drops);
-        for (q, depth) in self.rx_queue_depths().into_iter().enumerate() {
-            snap.push_int(format!("rx_queue_depth_q{q}"), "count", depth as u64);
+    /// Throughput and drop counters, the health gauge, then one Rx
+    /// backlog gauge per queue.
+    fn sample_columns(sampler: TimeSeriesSampler, nqueues: u32) -> TimeSeriesSampler {
+        let mut sampler = sampler
+            .with_column("client_rx_bytes", SampleKind::Counter)
+            .with_column("guest_rx_bytes", SampleKind::Counter)
+            .with_column("drops", SampleKind::Counter)
+            .with_column("tx_packets", SampleKind::Counter)
+            .with_column("rx_dropped", SampleKind::Counter)
+            .with_column("health", SampleKind::Gauge);
+        for q in 0..nqueues {
+            sampler = sampler.with_column(&format!("rx_qdepth_q{q}"), SampleKind::Gauge);
         }
-        self.netback_stats().append_metrics(&mut snap);
-        self.recovery.append_metrics(&mut snap);
-        snap
+        sampler
     }
 
-    /// Driver-domain mean vCPU utilization over a window.
-    pub fn driver_cpu_percent(&self, window: Nanos) -> f64 {
-        self.driver_cpus.utilization_percent(window)
-    }
-
-    /// Guest mean vCPU utilization over a window (sysstat style).
-    pub fn guest_cpu_percent(&self, window: Nanos) -> f64 {
-        let sum: f64 = self
-            .guest_cpus
-            .iter()
-            .map(|c| c.utilization_percent(window))
-            .sum();
-        sum / self.guest_cpus.len() as f64
-    }
-
-    /// Netback statistics, summed across backend incarnations.
-    pub fn netback_stats(&self) -> kite_core::NetbackStats {
-        let mut s = self.nb_stats_base;
-        if let Some(nb) = self.netback.device() {
-            s.merge(&nb.stats());
+    fn sample_row(sys: &NetSystem, health: u64) -> Vec<u64> {
+        let stats = sys.netback_stats();
+        let mut raw = vec![
+            sys.dp.metrics.client_rx_bytes,
+            sys.dp.metrics.guest_rx_bytes,
+            sys.dp.metrics.drops,
+            stats.tx_packets,
+            stats.rx_dropped,
+            health,
+        ];
+        // Depths come back empty while the backend is down; pad so the
+        // sample width stays fixed.
+        let depths = sys.rx_queue_depths();
+        for q in 0..sys.nqueues {
+            raw.push(depths.get(q as usize).copied().unwrap_or(0) as u64);
         }
-        s
+        raw
     }
 
-    /// Switches netback between batched and single-op grant copies; the
-    /// choice survives backend restarts.
-    pub fn set_copy_mode(&mut self, mode: kite_xen::CopyMode) {
-        self.copy_mode = mode;
-        if let Some(nb) = self.netback.device_mut() {
-            nb.set_copy_mode(mode);
+    fn top_load(sys: &NetSystem, row: &mut TopRow, secs: f64) {
+        let stats = sys.netback_stats();
+        if secs > 0.0 {
+            row.req_per_sec = (stats.tx_packets + stats.rx_packets) as f64 / secs;
+            row.mbytes_per_sec = (stats.tx_bytes + stats.rx_bytes) as f64 / 1e6 / secs;
         }
-    }
-
-    /// Frames the frontend dropped for ring exhaustion, summed across
-    /// device incarnations.
-    pub fn guest_tx_dropped(&self) -> u64 {
-        self.nf_dropped_base + self.netfront.as_ref().map_or(0, |nf| nf.tx_dropped())
-    }
-
-    /// The driver domain id.
-    pub fn driver_domain(&self) -> DomainId {
-        self.driver
-    }
-
-    /// The guest domain id.
-    pub fn guest_domain(&self) -> DomainId {
-        self.guest
-    }
-
-    /// Freezes a `kitetop` view of every domain (dead incarnations
-    /// included) at the current virtual time.
-    pub fn top_snapshot(&self) -> TopSnapshot {
-        let at = self.queue.now();
-        let secs = at.as_secs_f64();
-        let stats = self.netback_stats();
-        let mut rows: Vec<TopRow> = self
-            .hv
-            .domains
-            .iter_all()
-            .map(|d| {
-                let is_driver = d.id == self.driver;
-                let (health, beat_age) = match &self.monitor {
-                    Some(m) if m.target() == d.id => {
-                        let h = match m.state() {
-                            HealthState::Suspect { missed } => format!("suspect({missed})"),
-                            s => s.name().to_string(),
-                        };
-                        (h, Some(m.heartbeat_age(at)))
-                    }
-                    _ => ("-".to_string(), None),
-                };
-                let (ring_consumed, ring_pending) = match self.netback.device() {
-                    Some(nb) if is_driver => nb.progress(&self.hv),
-                    _ => (0, 0),
-                };
-                let (req_per_sec, mbytes_per_sec) = if is_driver && secs > 0.0 {
-                    (
-                        (stats.tx_packets + stats.rx_packets) as f64 / secs,
-                        (stats.tx_bytes + stats.rx_bytes) as f64 / 1e6 / secs,
-                    )
-                } else {
-                    (0.0, 0.0)
-                };
-                TopRow {
-                    dom: d.id.0,
-                    name: d.name.clone(),
-                    kind: match d.kind {
-                        DomainKind::Dom0 => "dom0",
-                        DomainKind::Driver => "driver",
-                        DomainKind::Guest => "guest",
-                    },
-                    alive: d.state != DomainState::Dead,
-                    health,
-                    beat_age,
-                    ring_pending,
-                    ring_consumed,
-                    grants: self.hv.grants.live_grants(d.id),
-                    maps: self.hv.grants.active_maps(d.id),
-                    evtchns: self.hv.evtchn.open_ports(d.id),
-                    req_per_sec,
-                    mbytes_per_sec,
-                    rx_dropped: if is_driver { stats.rx_dropped } else { 0 },
-                    gso_frames: if is_driver {
-                        stats.gso_tx_frames + stats.lro_rx_frames
-                    } else {
-                        0
-                    },
-                    rx_qdepth: if is_driver {
-                        self.rx_queue_depths().iter().map(|&d| d as u64).collect()
-                    } else {
-                        Vec::new()
-                    },
-                    p99_us: self
-                        .hv
-                        .req
-                        .dom_hist(d.id.0)
-                        .filter(|h| h.count() > 0)
-                        .map(|h| h.quantile(0.99).as_nanos() as f64 / 1000.0),
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.dom);
-        TopSnapshot { at, rows }
+        row.rx_dropped = stats.rx_dropped;
+        row.gso_frames = stats.gso_tx_frames + stats.lro_rx_frames;
+        row.rx_qdepth = sys.rx_queue_depths().iter().map(|&d| d as u64).collect();
     }
 }

@@ -1,20 +1,17 @@
-//! NVMe queue-pair API: equivalence, determinism, and cursor isolation.
+//! NVMe queue-pair API: determinism and cursor isolation.
 //!
-//! 1. The legacy `submit()` shim is a one-queue controller: an identical
-//!    mixed command stream produces identical completion times and
-//!    lifetime counters through either interface, across many seeds.
-//! 2. A same-seed 4-ring storage run is byte-identical — trace document
+//! 1. A same-seed 4-ring storage run is byte-identical — trace document
 //!    and metrics — across the heap and wheel scheduler backends.
-//! 3. Per-queue sequential cursors are isolated: a strictly sequential
+//! 2. Per-queue sequential cursors are isolated: a strictly sequential
 //!    stream on one queue never pays the random penalty because another
 //!    queue writes elsewhere.
-//! 4. When the controller caps out of queue pairs, rings share one and
+//! 3. When the controller caps out of queue pairs, rings share one and
 //!    the system still completes and verifies every byte.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kite_devices::{NvmeCmd, NvmeController, NvmeOp, NvmeProfile};
+use kite_devices::{NvmeCmd, NvmeController, NvmeProfile};
 use kite_sim::{Nanos, Pcg, SchedulerKind};
 use kite_system::{BackendOs, IoKind, IoOp, StorSystem, SystemConfig};
 
@@ -38,44 +35,6 @@ fn submit_streams(sys: &mut StorSystem, per_stream: u64) {
             },
         );
         t += Nanos::from_micros(2);
-    }
-}
-
-#[test]
-#[allow(clippy::disallowed_methods)] // the shim is the test subject
-fn legacy_shim_matches_one_queue_controller_across_seeds() {
-    for seed in 0..16u64 {
-        let mut rng = Pcg::seeded(seed);
-        let mut shim = NvmeController::new(4);
-        let mut qp = NvmeController::new(4);
-        let q = qp.create_io_queues(0).expect("queue pair");
-        let mut now = Nanos::from_micros(50);
-        let mut cursor = 0u64;
-        for _ in 0..64 {
-            let cmd = match rng.index(4) {
-                0 => NvmeCmd::read(rng.index(1 << 20) as u64, 4096),
-                1 => NvmeCmd::write(rng.index(1 << 20) as u64, 8192),
-                2 => {
-                    // Sometimes continue sequentially from the cursor.
-                    let c = NvmeCmd::write(cursor, 16384);
-                    cursor += 32;
-                    c
-                }
-                _ => NvmeCmd::flush(),
-            };
-            let a = shim.submit(now, cmd.op, cmd.sector, cmd.len_bytes);
-            qp.sq_push(q, cmd);
-            let b = qp.ring_doorbell(q, now)[0].completes_at;
-            qp.cq_pop(q, b).expect("due entry");
-            assert_eq!(a, b, "seed {seed}: shim and queue pair diverged");
-            now += Nanos::from_micros(rng.index(20) as u64 + 1);
-        }
-        assert_eq!(shim.reads(), qp.reads());
-        assert_eq!(shim.writes(), qp.writes());
-        assert_eq!(shim.read_bytes(), qp.read_bytes());
-        assert_eq!(shim.write_bytes(), qp.write_bytes());
-        assert_eq!(shim.seq_hits(), qp.seq_hits());
-        assert_eq!(shim.random_penalties(), qp.random_penalties());
     }
 }
 
@@ -220,18 +179,4 @@ fn flush_goes_through_the_queue_pair_path() {
     sys.run_to_quiescence();
     assert_eq!(sys.metrics.ios, 2);
     assert_eq!(sys.outstanding(), 0);
-}
-
-#[test]
-#[allow(clippy::disallowed_methods)] // exercises the banned shim on purpose
-fn shim_usage_does_not_disturb_explicit_queues() {
-    // The shim lazily creates its own queue pair; explicit queues made
-    // before or after keep their IDs and cursors.
-    let mut d = NvmeController::new(1);
-    let q1 = d.create_io_queues(0).expect("first pair");
-    let t = d.submit(Nanos::ZERO, NvmeOp::Write, 0, 4096);
-    assert!(t > Nanos::ZERO);
-    let q3 = d.create_io_queues(1).expect("third pair");
-    assert_ne!(q1, q3);
-    assert_eq!(d.io_queue_count(), 3, "two explicit pairs plus the shim's");
 }

@@ -51,5 +51,5 @@ pub use kite_trace::reqtrace::{ReqId, ReqTracer, SlotClass, Stage as ReqStage};
 pub use mem::{MachineMemory, PageId, PAGE_SIZE};
 pub use pci::{Bdf, PciBus, PciClass, PciDevice};
 pub use ring::{BackRing, FrontRing, RingEntry};
-pub use xenbus::{DeviceKind, DevicePaths, QueueMode, XenbusState};
+pub use xenbus::{DeviceKind, DevicePaths, XenbusState};
 pub use xenstore::{Perm, TxId, WatchEvent, WatchId, Xenstore};

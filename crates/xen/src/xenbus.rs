@@ -105,39 +105,6 @@ impl DeviceKind {
     }
 }
 
-/// How many shared rings a backend device pair runs.
-///
-/// The multi-queue ablation knob threaded through the system layers:
-/// [`QueueMode::Single`] is the legacy one-ring layout; `Multi(n)`
-/// negotiates `n` queues through xenstore. `Multi(1)` normalizes to the
-/// same single-ring layout — both sides fall back to the legacy flat
-/// key scheme whenever the negotiated count is 1, so `Multi(1)` is
-/// behaviorally identical to `Single` by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueMode {
-    /// Legacy single shared ring (pre-multi-queue layout).
-    #[default]
-    Single,
-    /// `n` negotiated queues, each with its own ring(s) and event
-    /// channel under `queue-<k>/` subpaths.
-    Multi(u32),
-}
-
-impl QueueMode {
-    /// The queue count this mode asks for (at least 1).
-    pub fn queues(self) -> u32 {
-        match self {
-            QueueMode::Single => 1,
-            QueueMode::Multi(n) => n.max(1),
-        }
-    }
-
-    /// Stable label for scenario names, e.g. `"queues_4"`.
-    pub fn label(self) -> String {
-        format!("queues_{}", self.queues())
-    }
-}
-
 /// Frontend advertisement key: the most queues the frontend can drive.
 pub const MQ_MAX_QUEUES_KEY: &str = "multi-queue-max-queues";
 
@@ -231,8 +198,8 @@ impl DevicePaths {
     /// The frontend directory holding queue `k`'s ring keys under an
     /// `nqueues`-queue layout: the flat legacy frontend area when the
     /// negotiated count is 1, the `queue-<k>/` subdirectory otherwise.
-    /// Keeping the count-of-one case on the flat layout is what makes
-    /// [`QueueMode::Multi`]`(1)` byte-identical to the legacy protocol.
+    /// Keeping the count-of-one case on the flat layout is what keeps a
+    /// one-queue device byte-identical to the legacy protocol.
     pub fn frontend_queue_root(&self, nqueues: u32, k: u32) -> String {
         if nqueues <= 1 {
             self.frontend()
@@ -354,9 +321,6 @@ mod tests {
         assert_eq!(negotiate_queues(8, 4), 4);
         assert_eq!(negotiate_queues(2, 8), 2);
         assert_eq!(negotiate_queues(0, 4), 1, "zero offers clamp to one");
-        assert_eq!(QueueMode::Single.queues(), 1);
-        assert_eq!(QueueMode::Multi(0).queues(), 1);
-        assert_eq!(QueueMode::Multi(4).label(), "queues_4");
     }
 
     #[test]

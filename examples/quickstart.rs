@@ -22,7 +22,6 @@ use std::rc::Rc;
 
 use kite::sim::Nanos;
 use kite::system::{addrs, BackendOs, Reply, Side, SystemConfig};
-use kite::xen::QueueMode;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,16 +40,11 @@ fn main() {
         })
         .unwrap_or(1);
     let gso = args.iter().any(|a| a == "--gso");
-    let mode = if queues <= 1 {
-        QueueMode::Single
-    } else {
-        QueueMode::Multi(queues)
-    };
 
     // One call assembles the paper's Figure 2: Dom0, a Kite driver domain
     // with the NIC passed through, a 22-vCPU guest with netfront, and an
     // external client — with the xenbus handshake already at Connected.
-    let mut cfg = SystemConfig::new(BackendOs::Kite, /* seed */ 42).queue_mode(mode);
+    let mut cfg = SystemConfig::new(BackendOs::Kite, /* seed */ 42).queues(queues);
     if gso {
         cfg = cfg.gso(true);
     }

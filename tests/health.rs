@@ -342,9 +342,8 @@ fn slo_breach_marks_backend_suspect() {
 #[test]
 fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
     use kite::net::{flow, EtherType, EthernetFrame, IpProto, Ipv4Packet, MacAddr, UdpDatagram};
-    use kite_xen::QueueMode;
     let mut sys = SystemConfig::new(BackendOs::Kite, 42)
-        .queue_mode(QueueMode::Multi(4))
+        .queues(4)
         .tracing(1 << 16)
         .watchdog(MonitorConfig::default())
         .build_net();

@@ -6,7 +6,7 @@
 //! seed, so failures replay bit-for-bit.
 
 use kite::core::BlkbackTuning;
-use kite::core::{provision_device, BackendManager, NetbackInstance};
+use kite::core::{provision_device, BackendDevice, BackendManager, NetbackInstance};
 use kite::frontends::Netfront;
 use kite::fs::{ExtentAllocator, Fs};
 use kite::net::{
@@ -1084,17 +1084,11 @@ fn flow_steering_is_seed_stable_and_tuple_pure() {
 #[test]
 fn per_flow_order_preserved_across_queue_counts() {
     use kite::system::addrs;
-    use kite::xen::QueueMode;
     const FLOWS: u64 = 8;
     const MSGS: u64 = 12;
     for queues in [1u32, 2, 4, 8] {
-        let mode = if queues == 1 {
-            QueueMode::Single
-        } else {
-            QueueMode::Multi(queues)
-        };
         let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 42)
-            .queue_mode(mode)
+            .queues(queues)
             .build_net();
         let seen: Rc<RefCell<Vec<(u16, u8)>>> = Rc::new(RefCell::new(Vec::new()));
         let s2 = seen.clone();
@@ -1132,53 +1126,4 @@ fn per_flow_order_preserved_across_queue_counts() {
             assert_eq!(seqs, want, "{queues} queues: flow {flow} in order");
         }
     }
-}
-
-/// `QueueMode::Multi(1)` is the single-queue path, not a one-entry
-/// special case of the multi-queue one: same trajectory, byte-identical
-/// trace export and metrics JSON as `QueueMode::Single`.
-#[test]
-fn multi_one_is_byte_equivalent_to_single() {
-    use kite::system::{addrs, Side};
-    use kite::xen::QueueMode;
-    let run = |mode: QueueMode| {
-        let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 77)
-            .queue_mode(mode)
-            .tracing(1 << 16)
-            .build_net();
-        for i in 0..60u64 {
-            sys.send_udp_at(
-                Nanos::from_millis(1 + 7 * i),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1200 + (i % 5) as u16,
-                vec![i as u8; 700],
-            );
-            sys.send_udp_at(
-                Nanos::from_millis(3 + 7 * i),
-                Side::Client,
-                addrs::GUEST,
-                7777,
-                2200 + (i % 3) as u16,
-                vec![i as u8; 300],
-            );
-        }
-        sys.run_to_quiescence();
-        assert_eq!(sys.hv.trace.dropped(), 0);
-        let chrome = sys.hv.export_chrome_trace();
-        let metrics = kite_trace::metrics::render_json(&[sys.metrics_snapshot("eq")]);
-        (
-            sys.now().as_nanos(),
-            sys.events_processed(),
-            chrome,
-            metrics,
-        )
-    };
-    let single = run(QueueMode::Single);
-    let multi1 = run(QueueMode::Multi(1));
-    assert_eq!(single.0, multi1.0, "same virtual end time");
-    assert_eq!(single.1, multi1.1, "same event count");
-    assert_eq!(single.2, multi1.2, "byte-identical chrome export");
-    assert_eq!(single.3, multi1.3, "byte-identical metrics JSON");
 }

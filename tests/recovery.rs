@@ -297,10 +297,9 @@ fn trace_export_is_byte_identical_across_same_seed_runs() {
 /// per-flow streams stay in order through the replay.
 #[test]
 fn multi_queue_driver_recovers_all_queues_without_acked_loss() {
-    use kite_xen::QueueMode;
     for hang in [false, true] {
         let mut sys = kite_system::SystemConfig::new(BackendOs::Kite, 42)
-            .queue_mode(QueueMode::Multi(4))
+            .queues(4)
             .build_net();
         assert_eq!(sys.queue_count(), 4, "all queues negotiated at boot");
         let seen: Rc<RefCell<Vec<(u16, u8)>>> = Rc::new(RefCell::new(Vec::new()));
